@@ -11,6 +11,7 @@ buffers alike) and any extra run metadata the trainer wants to keep.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .scene import Vocabulary
 
 MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 1
+_REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 
 
 class CheckpointError(ValueError):
@@ -48,7 +50,7 @@ def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
         offset += arr.size
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "vocab": {
             "objects": list(model.vocab.object_labels),
             "relationships": list(model.vocab.relationship_labels),
@@ -84,18 +86,26 @@ def load_checkpoint(
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    for key in _REQUIRED_KEYS:
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
     payload = np.frombuffer(raw[16 + header_len :], dtype="<f8")
     if payload.size != header["total_floats"]:
         raise CheckpointError(
             f"{path}: truncated payload ({payload.size} floats, expected {header['total_floats']})"
         )
 
-    config = ModelConfig.from_dict(header["model_config"])
+    try:
+        config = ModelConfig(**header["model_config"])
+    except TypeError as e:
+        raise CheckpointError(f"{path}: malformed 'model_config': {e}") from None
     if expected_config is not None and config != expected_config:
         raise CheckpointConfigMismatch(
-            f"{path}: checkpoint config {config.to_dict()} differs from requested {expected_config.to_dict()}"
+            f"{path}: checkpoint config {asdict(config)} differs from requested {asdict(expected_config)}"
         )
     vocab = Vocabulary(tuple(header["vocab"]["objects"]), tuple(header["vocab"]["relationships"]))
     if vocab.content_hash() != header["vocab_hash"]:

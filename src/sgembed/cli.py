@@ -13,10 +13,12 @@ hash/config mismatch; 5 malformed data or config; 6 runtime failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -57,6 +59,7 @@ GRAPHS_FILE = "graphs.jsonl"
 SIMILARITY_FILE = "similarity.csv"
 VOCAB_FILE = "vocabulary.json"
 DEFAULT_SPLIT_RATIOS = (0.7, 0.2, 0.1)
+DEFAULT_SPLIT_SEED = 0
 
 _EPILOG = """exit codes:
   0  success
@@ -81,8 +84,6 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"{path}: invalid config JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -122,53 +123,46 @@ def _load_data(data_dir: str) -> Dataset:
     return load_dataset(graphs_path, sim_path, vocab_path)
 
 
-def _split_from_extra(dataset: Dataset, extra: dict):
-    ratios = tuple(extra.get("split_ratios", DEFAULT_SPLIT_RATIOS))
-    seed = int(extra.get("split_seed", 0))
-    return split_dataset(dataset, ratios, seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SYNTH_KEYS = (
-    "n_images",
-    "n_object_labels",
-    "n_relationship_labels",
-    "n_topics",
-    "objects_min",
-    "objects_max",
-    "edges_min",
-    "edges_max",
-    "seed",
-)
+def _flag_types(cls) -> dict[str, type]:
+    """Name -> type of the int and float fields of a config dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if hints[f.name] in (int, float)}
 
-_TRAIN_KEYS = (
-    "label_dim",
-    "message_dim",
-    "out_dim",
-    "num_layers",
-    "mlp_hidden",
-    "loss",
-    "margin",
-    "infonce_temperature",
-    "ranking_temperature",
-    "sampler",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "seed",
-    "checkpoint_every",
-    "eval_every",
-    "split_seed",
-)
+
+def _config(cls, values: dict, **fields):
+    """``cls`` with its int and float fields that ``values`` sets, cast to the field type.
+
+    Fields ``values`` does not set keep the dataclass default.
+    """
+    cast = {name: typ(values[name]) for name, typ in _flag_types(cls).items() if name in values}
+    return cls(**cast, **fields)
+
+
+_SYNTH_FLAGS = _flag_types(SynthConfig)
+
+# --loss and --sampler pick the kind of the TrainConfig field they name.
+_KIND_FLAGS = {
+    "loss": ("objective", LossConfig, LOSS_KINDS),
+    "sampler": ("triple sampler", SamplerConfig, SAMPLER_KINDS),
+}
+
+# Every other train flag and its type, in --help order.
+_TRAIN_FLAGS = {
+    **_flag_types(ModelConfig),
+    **_flag_types(LossConfig),
+    **_flag_types(TrainConfig),
+    "split_seed": int,
+}
 
 
 def _cmd_gen_data(args) -> int:
     out = _out_dir(args)
-    values = _merged(_load_config_file(args.config), args, _SYNTH_KEYS)
-    config = SynthConfig(**values)
+    values = _merged(_load_config_file(args.config), args, _SYNTH_FLAGS)
+    config = _config(SynthConfig, values)
     dataset = generate(config)
     graphs_path, sim_path, vocab_path = _dataset_paths(out)
     save_dataset(dataset, graphs_path, sim_path, vocab_path)
@@ -180,38 +174,18 @@ def _cmd_gen_data(args) -> int:
 
 
 def _train_config_from(values: dict) -> TrainConfig:
-    model = ModelConfig(
-        label_dim=int(values.get("label_dim", 300)),
-        message_dim=int(values.get("message_dim", 512)),
-        out_dim=int(values.get("out_dim", 300)),
-        num_layers=int(values.get("num_layers", 5)),
-        mlp_hidden=int(values.get("mlp_hidden", 512)),
-    )
-    loss = LossConfig(
-        kind=values.get("loss", "ranking"),
-        margin=float(values.get("margin", 0.5)),
-        infonce_temperature=float(values.get("infonce_temperature", 1.0)),
-        ranking_temperature=float(values.get("ranking_temperature", 1.0)),
-    )
-    sampler = SamplerConfig(kind=values.get("sampler", "probability"))
-    return TrainConfig(
-        model=model,
-        loss=loss,
-        sampler=sampler,
-        epochs=int(values.get("epochs", 100)),
-        batch_size=int(values.get("batch_size", 16)),
-        learning_rate=float(values.get("learning_rate", 1e-4)),
-        seed=int(values.get("seed", 0)),
-        checkpoint_every=int(values.get("checkpoint_every", 0)),
-        eval_every=int(values.get("eval_every", 1)),
-    )
+    kinds = {
+        flag: _config(cls, values, **({"kind": values[flag]} if flag in values else {}))
+        for flag, (_, cls, _) in _KIND_FLAGS.items()
+    }
+    return _config(TrainConfig, values, model=_config(ModelConfig, values), **kinds)
 
 
 def _cmd_train(args) -> int:
     out = _out_dir(args)
-    values = _merged(_load_config_file(args.config), args, _TRAIN_KEYS)
+    values = _merged(_load_config_file(args.config), args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
     config = _train_config_from(values)
-    split_seed = int(values.get("split_seed", 0))
+    split_seed = int(values.get("split_seed", DEFAULT_SPLIT_SEED))
     dataset = _load_data(args.data)
     dataset = dataset.with_split(split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed))
     _write_resolved_config(out, {"command": "train", "split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
@@ -224,11 +198,9 @@ def _cmd_train(args) -> int:
 
 def _checkpoint_and_split(args, dataset: Dataset):
     model, extra = load_checkpoint(args.checkpoint, expected_vocab_hash=dataset.vocab.content_hash())
-    if getattr(args, "split_seed", None) is not None:
-        extra["split_seed"] = args.split_seed
-    extra.setdefault("split_seed", 0)
-    split = _split_from_extra(dataset, extra)
-    return model, split
+    seed = args.split_seed if args.split_seed is not None else extra.get("split_seed", DEFAULT_SPLIT_SEED)
+    ratios = tuple(extra.get("split_ratios", DEFAULT_SPLIT_RATIOS))
+    return model, split_dataset(dataset, ratios, int(seed))
 
 
 def _cmd_eval(args) -> int:
@@ -293,6 +265,8 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     m_list = _parse_noise_list(args.noise_list)
     seeds = [int(s) for s in args.seeds.split(",") if s]
+    if not seeds:
+        raise ValueError(f"--seeds {args.seeds!r} names no retrieval seed")
     rows = []
     for seed in seeds:
         for report in noise_sweep(model, dataset, indices, m_list, seed):
@@ -341,34 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset", epilog=_EPILOG)
     p.add_argument("--config", help="flat JSON config file with generator fields")
-    for key in _SYNTH_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, help=f"override {key}")
+    for key, typ in _SYNTH_FLAGS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=f"override {key}")
     add_out(p)
     p.set_defaults(fn=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a dataset directory", epilog=_EPILOG)
     p.add_argument("--data", required=True, help="dataset directory (graphs/similarity/vocabulary)")
     p.add_argument("--config", help="flat JSON config file with training fields")
-    for key, typ in (
-        ("label_dim", int),
-        ("message_dim", int),
-        ("out_dim", int),
-        ("num_layers", int),
-        ("mlp_hidden", int),
-        ("margin", float),
-        ("infonce_temperature", float),
-        ("ranking_temperature", float),
-        ("epochs", int),
-        ("batch_size", int),
-        ("learning_rate", float),
-        ("seed", int),
-        ("checkpoint_every", int),
-        ("eval_every", int),
-        ("split_seed", int),
-    ):
+    for key, typ in _TRAIN_FLAGS.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=f"override {key}")
-    p.add_argument("--loss", choices=LOSS_KINDS, help="objective (default ranking)")
-    p.add_argument("--sampler", choices=SAMPLER_KINDS, help="triple sampler (default probability)")
+    for key, (what, cls, kinds) in _KIND_FLAGS.items():
+        p.add_argument(f"--{key}", choices=kinds, help=f"{what} (default {cls().kind})")
     add_out(p)
     p.set_defaults(fn=_cmd_train)
 

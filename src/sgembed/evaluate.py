@@ -21,8 +21,6 @@ from .tensor import Mode
 
 RECALL_KS = (1, 5, 10, 20, 50)
 
-METRIC_NAMES = ("kendall_tau", "spearman_rho", "pearson_r")
-
 
 class UndefinedMetricError(ValueError):
     """The metric has no value for this input (constant vector or n < 2)."""
@@ -89,6 +87,7 @@ def pearson_r(x, y) -> float:
 
 
 _METRICS = {"kendall_tau": kendall_tau, "spearman_rho": spearman_rho, "pearson_r": pearson_r}
+METRIC_NAMES = tuple(_METRICS)
 
 
 @dataclass
@@ -235,19 +234,7 @@ def _corrupted_queries(dataset: Dataset, indices, m: int, seed: int):
 
 def retrieval_experiment(model: GcnModel, dataset: Dataset, indices, m: int, seed: int) -> RetrievalReport:
     """Corrupt every split image's graph, re-embed it and rank the clean index."""
-    indices = list(indices)
-    if not indices:
-        raise ValueError("cannot run retrieval on an empty split")
-    clean = [augment_trivial(dataset.graphs[i], dataset.vocab) for i in indices]
-    index_embeddings = embed_graphs(model, clean, Mode.EVAL)
-    return _retrieval_against_index(model, dataset, indices, index_embeddings, m, seed)
-
-
-def _retrieval_against_index(model, dataset, indices, index_embeddings, m, seed) -> RetrievalReport:
-    queries = _corrupted_queries(dataset, indices, m, seed)
-    query_embeddings = embed_graphs(model, queries, Mode.EVAL)
-    ranks = rank_queries(index_embeddings, query_embeddings, range(len(indices)))
-    return _report_from_ranks(m, ranks)
+    return noise_sweep(model, dataset, indices, [m], seed)[0]
 
 
 def noise_sweep(model: GcnModel, dataset: Dataset, indices, m_list, seed: int) -> list[RetrievalReport]:
@@ -256,11 +243,16 @@ def noise_sweep(model: GcnModel, dataset: Dataset, indices, m_list, seed: int) -
     if not m_list:
         raise ValueError("noise sweep requires at least one noise level")
     indices = list(indices)
+    if not indices:
+        raise ValueError("cannot run retrieval on an empty split")
     clean = [augment_trivial(dataset.graphs[i], dataset.vocab) for i in indices]
     index_embeddings = embed_graphs(model, clean, Mode.EVAL)
-    return [
-        _retrieval_against_index(model, dataset, indices, index_embeddings, m, seed) for m in m_list
-    ]
+    reports = []
+    for m in m_list:
+        query_embeddings = embed_graphs(model, _corrupted_queries(dataset, indices, m, seed), Mode.EVAL)
+        ranks = rank_queries(index_embeddings, query_embeddings, range(len(indices)))
+        reports.append(_report_from_ranks(m, ranks))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ offset per graph and a per-node graph id drives the pooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,21 +46,6 @@ class ModelConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "label_dim": self.label_dim,
-            "message_dim": self.message_dim,
-            "out_dim": self.out_dim,
-            "num_layers": self.num_layers,
-            "mlp_hidden": self.mlp_hidden,
-            "pool_include_trivial": self.pool_include_trivial,
-            "renormalize_embedding": self.renormalize_embedding,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
-
 
 @dataclass
 class GcnLayerParams:
@@ -85,6 +71,13 @@ class GcnLayerParams:
     node_b2: Tensor
 
 
+# Tensor fields are parameters and BatchNormState fields hold buffers, both
+# in field order: that order is the checkpoint's tensor layout.
+_LAYER_TYPES = typing.get_type_hints(GcnLayerParams)
+_LAYER_PARAMS = tuple(f.name for f in fields(GcnLayerParams) if _LAYER_TYPES[f.name] is Tensor)
+_LAYER_BUFFERS = tuple(f.name for f in fields(GcnLayerParams) if _LAYER_TYPES[f.name] is BatchNormState)
+
+
 def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
     # He-uniform weights; biases small-uniform rather than zero so a row whose
     # activations all die still emits a safely-normalizable vector.
@@ -93,6 +86,27 @@ def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
     w = Tensor(rng.uniform(-w_bound, w_bound, size=(fan_in, fan_out)), requires_grad=True)
     b = Tensor(rng.uniform(-b_bound, b_bound, size=fan_out), requires_grad=True)
     return w, b
+
+
+def _batchnorm(width: int) -> tuple[Tensor, Tensor, BatchNormState]:
+    """Scale, shift and running statistics of a fresh batchnorm."""
+    gamma = Tensor(np.ones(width), requires_grad=True)
+    beta = Tensor(np.zeros(width), requires_grad=True)
+    return gamma, beta, BatchNormState.create(width)
+
+
+def _create_layer(rng, width_in: int, config: ModelConfig) -> GcnLayerParams:
+    h, out, hidden = config.message_dim, config.out_dim, config.mlp_hidden
+    # Draw order fixes the weights a seed gives; arguments follow the field order.
+    trunk = _linear(rng, 3 * width_in, hidden)
+    head_s = _linear(rng, hidden, h)
+    head_t = _linear(rng, hidden, h)
+    head_e = _linear(rng, hidden, out)
+    node_1 = _linear(rng, h, hidden)
+    node_2 = _linear(rng, hidden, out)
+    return GcnLayerParams(
+        *trunk, *_batchnorm(hidden), *head_s, *head_t, *head_e, *node_1, *_batchnorm(hidden), *node_2
+    )
 
 
 class GcnModel:
@@ -109,7 +123,7 @@ class GcnModel:
     @classmethod
     def create(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0) -> "GcnModel":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        d, h, out, hidden = config.label_dim, config.message_dim, config.out_dim, config.mlp_hidden
+        d = config.label_dim
         table_std = 1.0 / math.sqrt(d)
         object_table = Tensor(
             rng.normal(0.0, table_std, size=(len(vocab.object_labels), d)), requires_grad=True
@@ -117,75 +131,24 @@ class GcnModel:
         relationship_table = Tensor(
             rng.normal(0.0, table_std, size=(len(vocab.relationship_labels), d)), requires_grad=True
         )
-        layers = []
-        for i in range(config.num_layers):
-            width_in = d if i == 0 else out
-            trunk_w, trunk_b = _linear(rng, 3 * width_in, hidden)
-            head_s_w, head_s_b = _linear(rng, hidden, h)
-            head_t_w, head_t_b = _linear(rng, hidden, h)
-            head_e_w, head_e_b = _linear(rng, hidden, out)
-            node_w1, node_b1 = _linear(rng, h, hidden)
-            node_w2, node_b2 = _linear(rng, hidden, out)
-            layers.append(
-                GcnLayerParams(
-                    trunk_w=trunk_w,
-                    trunk_b=trunk_b,
-                    trunk_gamma=Tensor(np.ones(hidden), requires_grad=True),
-                    trunk_beta=Tensor(np.zeros(hidden), requires_grad=True),
-                    trunk_bn=BatchNormState.create(hidden),
-                    head_s_w=head_s_w,
-                    head_s_b=head_s_b,
-                    head_t_w=head_t_w,
-                    head_t_b=head_t_b,
-                    head_e_w=head_e_w,
-                    head_e_b=head_e_b,
-                    node_w1=node_w1,
-                    node_b1=node_b1,
-                    node_gamma=Tensor(np.ones(hidden), requires_grad=True),
-                    node_beta=Tensor(np.zeros(hidden), requires_grad=True),
-                    node_bn=BatchNormState.create(hidden),
-                    node_w2=node_w2,
-                    node_b2=node_b2,
-                )
-            )
+        layers = [_create_layer(rng, d if i == 0 else config.out_dim, config) for i in range(config.num_layers)]
         return cls(config, vocab, object_table, relationship_table, layers)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"object_table": self.object_table, "relationship_table": self.relationship_table}
-        fields = (
-            "trunk_w",
-            "trunk_b",
-            "trunk_gamma",
-            "trunk_beta",
-            "head_s_w",
-            "head_s_b",
-            "head_t_w",
-            "head_t_b",
-            "head_e_w",
-            "head_e_b",
-            "node_w1",
-            "node_b1",
-            "node_gamma",
-            "node_beta",
-            "node_w2",
-            "node_b2",
-        )
         for i, layer in enumerate(self.layers):
-            for name in fields:
+            for name in _LAYER_PARAMS:
                 params[f"layers.{i}.{name}"] = getattr(layer, name)
         return params
 
     def buffers(self) -> dict[str, np.ndarray]:
         buffers = {}
         for i, layer in enumerate(self.layers):
-            buffers[f"layers.{i}.trunk_bn.running_mean"] = layer.trunk_bn.running_mean
-            buffers[f"layers.{i}.trunk_bn.running_var"] = layer.trunk_bn.running_var
-            buffers[f"layers.{i}.node_bn.running_mean"] = layer.node_bn.running_mean
-            buffers[f"layers.{i}.node_bn.running_var"] = layer.node_bn.running_var
+            for name in _LAYER_BUFFERS:
+                bn = getattr(layer, name)
+                buffers[f"layers.{i}.{name}.running_mean"] = bn.running_mean
+                buffers[f"layers.{i}.{name}.running_var"] = bn.running_var
         return buffers
-
-    def embed(self, graphs, mode: Mode = Mode.EVAL) -> Tensor:
-        return forward(self, graphs, mode)
 
 
 @dataclass

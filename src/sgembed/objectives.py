@@ -18,9 +18,6 @@ from . import tensor as T
 from .scene import SimilarityMatrix
 from .tensor import Tensor
 
-LOSS_KINDS = ("triplet", "infonce", "ranking")
-SAMPLER_KINDS = ("random", "extreme", "probability", "reject")
-
 REDRAW_CAP = 10_000
 
 
@@ -125,12 +122,17 @@ def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = 1.0
     return T.mul_scalar(T.logsigmoid(gap), -1.0)
 
 
+# loss kind -> loss of one triple under a LossConfig, in --loss help order
+_LOSSES = {
+    "triplet": lambda c, f_a, f_p, f_n, t: triplet_loss(f_a, f_p, f_n, c.margin),
+    "infonce": lambda c, f_a, f_p, f_n, t: infonce_loss(f_a, f_p, f_n, c.infonce_temperature),
+    "ranking": lambda c, f_a, f_p, f_n, t: ranking_loss(f_a, f_p, f_n, t.s_ap, t.s_an, c.ranking_temperature),
+}
+LOSS_KINDS = tuple(_LOSSES)
+
+
 def compute_loss(config: LossConfig, f_a: Tensor, f_p: Tensor, f_n: Tensor, triple: Triple) -> Tensor:
-    if config.kind == "ranking":
-        return ranking_loss(f_a, f_p, f_n, triple.s_ap, triple.s_an, config.ranking_temperature)
-    if config.kind == "triplet":
-        return triplet_loss(f_a, f_p, f_n, config.margin)
-    return infonce_loss(f_a, f_p, f_n, config.infonce_temperature)
+    return _LOSSES[config.kind](config, f_a, f_p, f_n, triple)
 
 
 class TripleSampler:
@@ -155,15 +157,7 @@ class TripleSampler:
         if len(cands) < 2:
             raise ValueError(f"anchor {anchor}: not enough candidates to form a triple")
         row = self._values[anchor, cands]
-        kind = self._config.kind
-        if kind == "random":
-            pi, ni = self._sample_random(anchor, row)
-        elif kind == "extreme":
-            pi, ni = self._sample_extreme(anchor, row)
-        elif kind == "probability":
-            pi, ni = self._sample_probability(anchor, row)
-        else:
-            pi, ni = self._sample_reject(anchor, row)
+        pi, ni = _SAMPLERS[self._config.kind](self, anchor, row)
         return Triple(
             anchor=int(anchor),
             positive=int(cands[pi]),
@@ -219,3 +213,13 @@ class TripleSampler:
         raise SamplerExhaustedError(
             f"anchor {anchor}: no correctly-ordered pair accepted in {REDRAW_CAP} draws"
         )
+
+
+# sampler kind -> method drawing (positive, negative) row positions, in --sampler help order
+_SAMPLERS = {
+    "random": TripleSampler._sample_random,
+    "extreme": TripleSampler._sample_extreme,
+    "probability": TripleSampler._sample_probability,
+    "reject": TripleSampler._sample_reject,
+}
+SAMPLER_KINDS = tuple(_SAMPLERS)

@@ -1,8 +1,12 @@
 """Checkpoint format: round trips, corruption detection, mismatch refusals."""
 
+import json
+
+import numpy as np
 import pytest
 
 from sgembed.checkpoint import (
+    MAGIC,
     CheckpointConfigMismatch,
     CheckpointError,
     CheckpointHashMismatch,
@@ -89,3 +93,67 @@ def test_models_equal_detects_differences(model, tiny_vocab):
     assert models_equal(model, other)
     other.object_table.data[0, 0] += 1e-9
     assert not models_equal(model, other)
+
+
+def _read_header(path):
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16 : 16 + n]), blob[16 + n :]
+
+
+def _write_header(path, header, payload):
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
+
+
+def test_tensor_directory_layout_is_fixed(model, tmp_path):
+    """The names, shapes and order of a 2-layer model's tensors are the file format."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, _ = _read_header(path)
+    layer = [
+        ("trunk_b", [6]),
+        ("trunk_gamma", [6]),
+        ("trunk_beta", [6]),
+        ("head_s_w", [6, 4]),
+        ("head_s_b", [4]),
+        ("head_t_w", [6, 4]),
+        ("head_t_b", [4]),
+        ("head_e_w", [6, 3]),
+        ("head_e_b", [3]),
+        ("node_w1", [4, 6]),
+        ("node_b1", [6]),
+        ("node_gamma", [6]),
+        ("node_beta", [6]),
+        ("node_w2", [6, 3]),
+        ("node_b2", [3]),
+    ]
+    expected = [("object_table", [5, 5]), ("relationship_table", [4, 5])]
+    expected += [("layers.0.trunk_w", [15, 6])] + [(f"layers.0.{n}", s) for n, s in layer]
+    expected += [("layers.1.trunk_w", [9, 6])] + [(f"layers.1.{n}", s) for n, s in layer]
+    for i in (0, 1):
+        for bn in ("trunk_bn", "node_bn"):
+            expected += [(f"layers.{i}.{bn}.running_mean", [6]), (f"layers.{i}.{bn}.running_var", [6])]
+    assert [(e["name"], e["shape"]) for e in header["tensors"]] == expected
+    offsets = [e["offset"] for e in header["tensors"]]
+    sizes = [int(np.prod(shape)) for _, shape in expected]
+    assert offsets == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert header["total_floats"] == sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "key", ["total_floats", "tensors", "model_config", "vocab", "vocab_hash", "hidden_layers"]
+)
+def test_malformed_header_names_file_and_key(model, tmp_path, key):
+    """A header key that is missing, or a model_config field ModelConfig lacks."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    if key in header:
+        del header[key]
+    else:
+        header["model_config"][key] = 3
+    _write_header(path, header, payload)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value) and key in str(exc.value)

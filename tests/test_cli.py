@@ -1,5 +1,6 @@
 """CLI pipeline: end-to-end smoke, exit codes, idempotent outputs, help text."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from sgembed import cli
 from sgembed.cli import (
     EXIT_BAD_DATA,
     EXIT_HASH_MISMATCH,
@@ -14,6 +16,8 @@ from sgembed.cli import (
     build_parser,
     main,
 )
+from sgembed.synth import SynthConfig, generate
+from sgembed.train import TrainConfig
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -127,6 +131,19 @@ class TestPipeline:
             assert a == b, f"{name} differs between identical runs"
 
 
+@pytest.fixture(scope="module")
+def four_images(tmp_path_factory):
+    """A 4-image dataset, whose 0.7/0.2/0.1 split leaves val empty, and a model trained on it."""
+    root = tmp_path_factory.mktemp("four")
+    data = str(root / "data")
+    run = str(root / "run")
+    r = run_cli(["gen-data", "--n-images", "4", "--out", data])
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["train", "--data", data, *TRAIN_ARGS, "--out", run])
+    assert r.returncode == 0, r.stderr
+    return {"data": data, "ckpt": os.path.join(run, "best.ckpt")}
+
+
 class TestConfigFile:
     def test_flags_override_file_values(self, tmp_path):
         config = tmp_path / "gen.json"
@@ -185,6 +202,36 @@ class TestExitCodes:
         r = run_cli(["stats", "--data", str(bad)])
         assert r.returncode == EXIT_BAD_DATA
 
+    @pytest.mark.parametrize("command", [["retrieve", "--noise", "1"], ["sweep"]])
+    def test_empty_split_names_the_problem(self, four_images, tmp_path, command):
+        r = run_cli(
+            [*command, "--data", four_images["data"], "--checkpoint", four_images["ckpt"], "--split", "val",
+             "--out", str(tmp_path / "out")]
+        )
+        assert r.returncode == EXIT_BAD_DATA
+        assert r.stderr.splitlines()[-1] == "ValueError: cannot run retrieval on an empty split"
+
+    def test_sweep_without_seeds_is_refused(self, pipeline, tmp_path):
+        out = tmp_path / "sweep"
+        r = run_cli(["sweep", "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--seeds", "", "--out", str(out)])
+        assert r.returncode == EXIT_BAD_DATA
+        last = r.stderr.splitlines()[-1]
+        assert last.startswith("ValueError:") and "--seeds" in last
+        assert not (out / "sweep.csv").exists()
+
+    def test_malformed_checkpoint_header(self, pipeline, tmp_path):
+        blob = open(pipeline["ckpt"], "rb").read()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        del header["vocab_hash"]
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+        r = run_cli(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        assert r.returncode == EXIT_BAD_DATA
+        last = r.stderr.splitlines()[-1]
+        assert last.startswith("CheckpointError:") and "vocab_hash" in last
+
     def test_error_is_single_machine_readable_line(self, tmp_path):
         r = run_cli(["stats", "--data", str(tmp_path / "nope")])
         lines = [l for l in r.stderr.splitlines() if l.strip()]
@@ -216,6 +263,43 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
         assert exc.value.code == 2
+
+
+def _long_options(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings if opt.startswith("--")}
+
+
+class TestOptions:
+    def test_train_options(self):
+        assert _long_options("train") == {
+            "--help", "--data", "--config", "--out",
+            "--label-dim", "--message-dim", "--out-dim", "--num-layers", "--mlp-hidden",
+            "--loss", "--margin", "--infonce-temperature", "--ranking-temperature", "--sampler",
+            "--epochs", "--batch-size", "--learning-rate", "--seed",
+            "--checkpoint-every", "--eval-every", "--split-seed",
+        }
+
+    def test_gen_data_options(self):
+        assert _long_options("gen-data") == {
+            "--help", "--config", "--out",
+            "--n-images", "--n-object-labels", "--n-relationship-labels", "--n-topics",
+            "--objects-min", "--objects-max", "--edges-min", "--edges-max", "--seed",
+        }
+
+    def test_train_without_flags_uses_config_defaults(self, pipeline, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "train", lambda dataset, config, **kw: (seen.append(config), (None, []))[1])
+        assert main(["train", "--data", pipeline["data"], "--out", str(tmp_path)]) == 0
+        assert seen == [TrainConfig()]
+
+    def test_gen_data_without_flags_uses_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        small = SynthConfig(n_images=4, n_object_labels=6, n_relationship_labels=3, objects_max=5, edges_max=5)
+        monkeypatch.setattr(cli, "generate", lambda config: (seen.append(config), generate(small))[1])
+        assert main(["gen-data", "--out", str(tmp_path)]) == 0
+        assert seen == [SynthConfig()]
 
 
 class TestEnvDefaults:
