@@ -107,7 +107,8 @@ def load_checkpoint(
         raise CheckpointConfigMismatch(
             f"{path}: checkpoint config {asdict(config)} differs from requested {asdict(expected_config)}"
         )
-    vocab = Vocabulary(tuple(header["vocab"]["objects"]), tuple(header["vocab"]["relationships"]))
+    objects, relationships = (_field(path, "vocab", header["vocab"], key, list) for key in ("objects", "relationships"))
+    vocab = Vocabulary(tuple(objects), tuple(relationships))
     if vocab.content_hash() != header["vocab_hash"]:
         raise CheckpointError(f"{path}: header vocabulary does not match its recorded hash")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
@@ -118,19 +119,29 @@ def load_checkpoint(
     model = GcnModel.create(config, vocab, seed=0)
     arrays = _all_tensors(model)
     expected_names = list(arrays.keys())
-    directory = {entry["name"]: entry for entry in header["tensors"]}
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError(f"{path}: malformed 'tensors': not a JSON list")
+    directory = {_field(path, "tensors", entry, "name", str): entry for entry in header["tensors"]}
     if set(directory) != set(expected_names):
         raise CheckpointError(f"{path}: tensor directory does not match the model structure")
     for name in expected_names:
         entry = directory[name]
         arr = arrays[name]
-        if tuple(entry["shape"]) != arr.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {entry['shape']}, model expects {list(arr.shape)}"
-            )
-        start = entry["offset"]
+        shape = _field(path, "tensors", entry, "shape", list)
+        if tuple(shape) != arr.shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape {shape}, model expects {list(arr.shape)}")
+        start = _field(path, "tensors", entry, "offset", int)
+        if not 0 <= start <= payload.size - arr.size:
+            raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
         np.copyto(arr, payload[start : start + arr.size].reshape(arr.shape))
     return model, header.get("extra", {})
+
+
+def _field(path, section: str, entry, key: str, kind: type):
+    """entry[key] of a header section, checked to be a ``kind``."""
+    if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+        raise CheckpointError(f"{path}: malformed {section!r}: not an object with a {kind.__name__} {key!r}")
+    return entry[key]
 
 
 def models_equal(a: GcnModel, b: GcnModel) -> bool:

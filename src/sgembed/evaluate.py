@@ -57,17 +57,10 @@ def kendall_tau(x, y) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.shape[0])
-    sorted_v = v[order]
-    i = 0
-    while i < v.shape[0]:
-        j = i
-        while j + 1 < v.shape[0] and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; each run of tied values gets the mean of its positions."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based position of the last member of each run
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def spearman_rho(x, y) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -285,9 +285,13 @@ def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
 
 
 def embed_graphs(model: GcnModel, graphs, mode: Mode = Mode.EVAL, batch_size: int = 128) -> np.ndarray:
-    """Embeddings of many graphs as a plain (n, out_dim) array, chunked forwards."""
+    """Embeddings of many graphs as a plain (n, out_dim) array, from chunked
+    forwards on parameters that share the model's arrays but record no tape."""
     graphs = list(graphs)
+    tables = (Tensor(model.object_table.data), Tensor(model.relationship_table.data))
+    layers = [replace(layer, **{n: Tensor(getattr(layer, n).data) for n in _LAYER_PARAMS}) for layer in model.layers]
+    frozen = GcnModel(model.config, model.vocab, *tables, layers)
     chunks = []
     for start in range(0, len(graphs), batch_size):
-        chunks.append(forward(model, graphs[start : start + batch_size], mode).data)
+        chunks.append(forward(frozen, graphs[start : start + batch_size], mode).data)
     return np.vstack(chunks) if chunks else np.zeros((0, model.config.out_dim))

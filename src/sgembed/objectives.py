@@ -1,11 +1,13 @@
 """Contrastive objectives over (anchor, positive, negative) embedding triples
 and the sampling strategies that pick the triples from a similarity matrix.
 
-All three losses compare the anchor-positive and anchor-negative inner
-products. The ranking loss is a soft-target cross-entropy: the posterior
-that the pair ordering is correct is sigmoid of the scaled similarity gap,
-and the target is s_ap / (s_ap + s_an), so near-equal supervision values
-contribute a proportionally weak ordering constraint instead of a hard one.
+All three losses take a batch as three (B, d) tensors, compare the row-wise
+anchor-positive and anchor-negative inner products, and return the batch
+mean as a 0-d tensor. The ranking loss is a soft-target cross-entropy: the
+posterior that the pair ordering is correct is sigmoid of the scaled
+similarity gap, and the target is s_ap / (s_ap + s_an), so near-equal
+supervision values contribute a proportionally weak ordering constraint
+instead of a hard one.
 """
 
 from __future__ import annotations
@@ -74,44 +76,48 @@ class Triple:
 
 
 def _dot(a: Tensor, b: Tensor) -> Tensor:
-    return T.sum(T.mul(a, b))
+    """Row-wise inner products of two (B, d) tensors, shape (B,)."""
+    return T.sum(T.mul(a, b), axis=1)
 
 
-def ranking_target(s_ap: float, s_an: float) -> float:
-    """Soft target probability that the positive outranks the negative."""
-    total = s_ap + s_an
-    if total <= 0.0:
+def _batch_mean(per_row: Tensor, scale: float = 1.0) -> Tensor:
+    """scale * mean of a (B,) tensor, as a 0-d tensor."""
+    return T.mul_scalar(T.sum(per_row), scale / per_row.shape[0])
+
+
+def ranking_target(s_ap, s_an):
+    """Soft target probability that the positive outranks the negative (scalars or arrays)."""
+    total = np.add(s_ap, s_an)
+    if np.any(total <= 0.0):
         raise ValueError("ranking target undefined: both similarities are zero")
-    return s_ap / total
+    return np.divide(s_ap, total)
 
 
-def ranking_loss(
-    f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap: float, s_an: float, nu: float = 1.0
-) -> Tensor:
-    """Cross-entropy between the ordering posterior and the soft target.
-
-    Evaluated in log-sigmoid form, which stays finite for any gap size.
+def ranking_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = 1.0) -> Tensor:
+    """Mean cross-entropy between the ordering posterior and the soft target;
+    s_ap and s_an are scalars or length-B arrays. Evaluated in log-sigmoid
+    form, which stays finite for any gap size.
     """
     if nu <= 0:
         raise ValueError("ranking temperature must be positive")
-    target = ranking_target(s_ap, s_an)
+    target = np.broadcast_to(ranking_target(s_ap, s_an), (f_a.shape[0],))
     gap = T.mul_scalar(T.sub(_dot(f_a, f_p), _dot(f_a, f_n)), 1.0 / nu)
-    return T.add(
-        T.mul_scalar(T.logsigmoid(gap), -target),
-        T.mul_scalar(T.logsigmoid(T.mul_scalar(gap, -1.0)), -(1.0 - target)),
+    per_row = T.add(
+        T.mul(T.logsigmoid(gap), Tensor(target)), T.mul(T.logsigmoid(T.mul_scalar(gap, -1.0)), Tensor(1.0 - target))
     )
+    return _batch_mean(per_row, -1.0)
 
 
 def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = 0.5) -> Tensor:
-    """Hinge on the similarity gap; the kink's subgradient is 0 (inactive)."""
+    """Mean hinge on the similarity gap; the kink's subgradient is 0 (inactive)."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
     gap = T.sub(_dot(f_a, f_n), _dot(f_a, f_p))
-    return T.relu(T.add(gap, T.scalar(margin)))
+    return _batch_mean(T.relu(T.add(gap, Tensor(np.full(gap.shape, float(margin))))))
 
 
 def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = 1.0) -> Tensor:
-    """Two-way softmax loss on the positive vs negative similarity.
+    """Mean two-way softmax loss on the positive vs negative similarity.
 
     -log(e^(ap/t) / (e^(ap/t) + e^(an/t))) == -logsigmoid((ap - an)/t),
     which is the stabilized log-sum-exp form for the two-candidate case.
@@ -119,20 +125,22 @@ def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = 1.0
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     gap = T.mul_scalar(T.sub(_dot(f_a, f_p), _dot(f_a, f_n)), 1.0 / temperature)
-    return T.mul_scalar(T.logsigmoid(gap), -1.0)
+    return _batch_mean(T.logsigmoid(gap), -1.0)
 
 
-# loss kind -> loss of one triple under a LossConfig, in --loss help order
+# loss kind -> mean loss of a batch under a LossConfig and its similarity arrays, in --loss help order
 _LOSSES = {
-    "triplet": lambda c, f_a, f_p, f_n, t: triplet_loss(f_a, f_p, f_n, c.margin),
-    "infonce": lambda c, f_a, f_p, f_n, t: infonce_loss(f_a, f_p, f_n, c.infonce_temperature),
-    "ranking": lambda c, f_a, f_p, f_n, t: ranking_loss(f_a, f_p, f_n, t.s_ap, t.s_an, c.ranking_temperature),
+    "triplet": lambda c, f_a, f_p, f_n, s_ap, s_an: triplet_loss(f_a, f_p, f_n, c.margin),
+    "infonce": lambda c, f_a, f_p, f_n, s_ap, s_an: infonce_loss(f_a, f_p, f_n, c.infonce_temperature),
+    "ranking": lambda c, f_a, f_p, f_n, s_ap, s_an: ranking_loss(f_a, f_p, f_n, s_ap, s_an, c.ranking_temperature),
 }
 LOSS_KINDS = tuple(_LOSSES)
 
 
-def compute_loss(config: LossConfig, f_a: Tensor, f_p: Tensor, f_n: Tensor, triple: Triple) -> Tensor:
-    return _LOSSES[config.kind](config, f_a, f_p, f_n, triple)
+def compute_loss(config: LossConfig, f_a: Tensor, f_p: Tensor, f_n: Tensor, triples) -> Tensor:
+    """Mean loss of a batch: row i of the (B, d) embeddings belongs to triples[i]."""
+    s_ap, s_an = np.array([(t.s_ap, t.s_an) for t in triples]).T
+    return _LOSSES[config.kind](config, f_a, f_p, f_n, s_ap, s_an)
 
 
 class TripleSampler:

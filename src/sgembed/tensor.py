@@ -3,10 +3,11 @@
 Data is always a C-contiguous float64 ndarray. Operations record tape
 nodes only when some input requires gradients, so frozen-model inference
 pays no bookkeeping cost. The recorded graph is rebuilt on every forward
-pass (define-by-run); ``backward`` linearizes it once into a Tape whose
-nodes are in topological order (parents before children) and replays it
-in reverse. Calling ``backward`` a second time without re-running the
-forward pass accumulates leaf gradients a second time.
+pass (define-by-run); ``backward`` lists its nodes once in topological
+order (parents before children) and replays them in reverse. Nodes point
+only at their inputs, so reference counting frees a tape with its loss.
+Calling ``backward`` a second time without re-running the forward pass
+accumulates leaf gradients a second time.
 """
 
 from __future__ import annotations
@@ -91,48 +92,38 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded primitive op: its inputs, output, and backward rule."""
+    """One recorded primitive op: its inputs and backward rule. ``out`` is
+    not kept, so a tape holds no reference cycle back to its tensors."""
 
-    __slots__ = ("parents", "out", "backward_fn", "name")
+    __slots__ = ("parents", "backward_fn", "name")
 
     def __init__(self, parents, out, backward_fn, name):
         self.parents = tuple(parents)
-        self.out = out
         self.backward_fn = backward_fn
         self.name = name
 
 
-class Tape:
-    """The recorded subgraph below one output, linearized topologically.
-
-    ``nodes`` lists every TapeNode reachable from the root, with each
-    node's parents appearing before the node itself.
-    """
-
-    def __init__(self, nodes: list[TapeNode]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        if root.node is None:
-            return cls([])
-        order: list[TapeNode] = []
-        seen: set[int] = set()
-        # Iterative post-order DFS: parents are emitted before children.
-        stack: list[tuple[TapeNode, bool]] = [(root.node, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node.parents:
-                if parent.node is not None and id(parent.node) not in seen:
-                    stack.append((parent.node, False))
-        return cls(order)
+def _topological_nodes(root: Tensor) -> list[TapeNode]:
+    """Every TapeNode reachable from root, each node's parents before the node."""
+    if root.node is None:
+        return []
+    order: list[TapeNode] = []
+    seen: set[int] = set()
+    # Iterative post-order DFS: parents are emitted before children.
+    stack: list[tuple[TapeNode, bool]] = [(root.node, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if parent.node is not None and id(parent.node) not in seen:
+                stack.append((parent.node, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -148,10 +139,10 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    tape = Tape.trace(loss)
-    grads: dict[int, np.ndarray] = {id(loss): seed}
-    for node in reversed(tape.nodes):
-        out_grad = grads.pop(id(node.out), None)
+    # Pending output gradients, keyed by the node that produced the output.
+    grads: dict[TapeNode, np.ndarray] = {loss.node: seed}
+    for node in reversed(_topological_nodes(loss)):
+        out_grad = grads.pop(node, None)
         if out_grad is None:
             continue
         parent_grads = node.backward_fn(out_grad)
@@ -159,11 +150,8 @@ def backward(loss: Tensor) -> None:
             if g is None:
                 continue
             if parent.node is not None:
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
+                key = parent.node
+                grads[key] = grads[key] + g if key in grads else g
             elif parent.requires_grad:
                 parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -284,9 +272,14 @@ def exp(a: Tensor) -> Tensor:
     return _result(out, (a,), lambda g: (g * out,), "exp")
 
 
-def sum(a: Tensor) -> Tensor:  # noqa: A001 - deliberate, mirrors numpy's module-level sum
+def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - deliberate, mirrors numpy's sum
+    """Sum of all elements, or with ``axis=1`` the row sums of a 2-d tensor."""
     shape = a.shape
-    return _result(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum")
+    if axis is None:
+        return _result(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum")
+    if axis != 1 or a.data.ndim != 2:
+        raise ShapeError(f"sum supports axis=None or axis=1 of a 2-d tensor, got axis={axis} for shape {shape}")
+    return _result(a.data.sum(axis=1), (a,), lambda g: (np.broadcast_to(g[:, None], shape).copy(),), "sum")
 
 
 def mean(a: Tensor) -> Tensor:
@@ -422,8 +415,3 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
             return g * (gamma_data * inv_std), (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _result(gamma.data * xhat + beta.data, (x, gamma, beta), back, "batchnorm")
-
-
-def scalar(value: float) -> Tensor:
-    """A constant 0-d tensor (no gradient)."""
-    return Tensor(np.asarray(float(value)))

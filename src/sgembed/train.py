@@ -80,14 +80,9 @@ def _batch_loss(model: GcnModel, augmented, triples, loss_config) -> T.Tensor:
     unique = sorted({i for t in triples for i in (t.anchor, t.positive, t.negative)})
     row_of = {img: row for row, img in enumerate(unique)}
     embeddings = forward(model, [augmented[i] for i in unique], Mode.TRAIN)
-    total = None
-    for t in triples:
-        f_a = T.gather_rows(embeddings, [row_of[t.anchor]])
-        f_p = T.gather_rows(embeddings, [row_of[t.positive]])
-        f_n = T.gather_rows(embeddings, [row_of[t.negative]])
-        loss = compute_loss(loss_config, f_a, f_p, f_n, t)
-        total = loss if total is None else T.add(total, loss)
-    return T.mul_scalar(total, 1.0 / len(triples))
+    rows = [(row_of[t.anchor], row_of[t.positive], row_of[t.negative]) for t in triples]
+    f_a, f_p, f_n = (T.gather_rows(embeddings, column) for column in zip(*rows))
+    return compute_loss(loss_config, f_a, f_p, f_n, triples)
 
 
 def train(

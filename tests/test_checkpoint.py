@@ -141,18 +141,26 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
     assert header["total_floats"] == sum(sizes)
 
 
-@pytest.mark.parametrize(
-    "key", ["total_floats", "tensors", "model_config", "vocab", "vocab_hash", "hidden_layers"]
-)
-def test_malformed_header_names_file_and_key(model, tmp_path, key):
-    """A header key that is missing, or a model_config field ModelConfig lacks."""
+# (test id, header mutation, key the error must name)
+_MALFORMED = [
+    *[(k, lambda h, k=k: h.pop(k), k) for k in ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")],
+    ("hidden_layers", lambda h: h["model_config"].update(hidden_layers=3), "hidden_layers"),
+    ("vocab_empty", lambda h: h.update(vocab={}), "objects"),
+    ("vocab_not_object", lambda h: h.update(vocab=["cat"]), "vocab"),
+    ("vocab_no_relationships", lambda h: h["vocab"].pop("relationships"), "relationships"),
+    ("tensors_not_list", lambda h: h.update(tensors={}), "tensors"),
+    *[(f"tensor_no_{k}", lambda h, k=k: h["tensors"][0].pop(k), k) for k in ("name", "shape", "offset")],
+    ("tensor_offset_outside_payload", lambda h: h["tensors"][-1].update(offset=h["total_floats"]), "offset"),
+]
+
+
+@pytest.mark.parametrize("mutate, key", [pytest.param(m, k, id=i) for i, m, k in _MALFORMED])
+def test_malformed_header_names_file_and_key(model, tmp_path, mutate, key):
+    """A missing or ill-typed header key, or a model_config field ModelConfig lacks."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    if key in header:
-        del header[key]
-    else:
-        header["model_config"][key] = 3
+    mutate(header)
     _write_header(path, header, payload)
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)

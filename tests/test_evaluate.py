@@ -12,6 +12,7 @@ from sgembed.evaluate import (
     EvalReport,
     RECALL_KS,
     UndefinedMetricError,
+    _average_ranks,
     evaluate,
     evaluate_embeddings,
     kendall_tau,
@@ -131,6 +132,13 @@ class TestMetricOracles:
             assert abs(kendall_tau(x, y) - scipy.stats.kendalltau(x, y).statistic) < 1e-10
             assert abs(spearman_rho(x, y) - scipy.stats.spearmanr(x, y).statistic) < 1e-10
             assert abs(pearson_r(x, y) - scipy.stats.pearsonr(x, y).statistic) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 17, 500, 2000])
+    def test_average_ranks_match_scipy_on_tie_heavy_vectors(self, n):
+        rng = np.random.default_rng(n)
+        for levels in (1, 2, 5, n // 3 + 1):
+            v = rng.integers(0, levels, size=n).astype(np.float64) * 0.1
+            np.testing.assert_array_equal(_average_ranks(v), scipy.stats.rankdata(v, method="average"))
 
     def test_constant_input_undefined(self):
         with pytest.raises(UndefinedMetricError):

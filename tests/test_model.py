@@ -10,6 +10,7 @@ from sgembed.model import (
     BatchedGraph,
     GcnModel,
     ModelConfig,
+    embed_graphs,
     embed_inputs,
     forward,
     layer_forward,
@@ -173,6 +174,13 @@ class TestForwardInvariants:
         g2 = SceneGraph("b", (1, 0), ((1, 0, 0),))
         out = forward(model, augmented([g1, g2], tiny_vocab), Mode.EVAL).data
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
+
+    def test_embed_graphs_records_no_tape(self, model, tiny_vocab, monkeypatch):
+        graphs = augmented([SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 2, 2))), SceneGraph("b", (3,), ())], tiny_vocab)
+        expected = forward(model, graphs, Mode.EVAL).data
+        monkeypatch.setattr(T, "TapeNode", None)  # recording any node now raises TypeError
+        np.testing.assert_array_equal(embed_graphs(model, graphs), expected)
+        assert all(p.requires_grad for p in model.parameters().values())
 
     def test_trivial_node_pooling_flag(self, tiny_vocab):
         g = SceneGraph("x", (0, 1), ((0, 0, 1),))

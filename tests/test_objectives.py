@@ -15,6 +15,7 @@ from sgembed.objectives import (
     SamplerExhaustedError,
     Triple,
     TripleSampler,
+    compute_loss,
     infonce_loss,
     ranking_loss,
     ranking_target,
@@ -202,6 +203,42 @@ class TestLossGradients:
 
         assert abs(grad_at(gap_star)) < 1e-12
         assert grad_at(gap_star - 0.2) < 0 < grad_at(gap_star + 0.2)
+
+
+class TestBatchedLosses:
+    """A (B, d) batch gives the mean of its rows' B = 1 losses and gradients."""
+
+    @staticmethod
+    def _value_and_grads(config, rows, triples):
+        leaves = [Tensor(r, requires_grad=True) for r in rows]
+        loss = compute_loss(config, *leaves, triples)
+        T.backward(loss)
+        return loss.item(), [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("batch", [1, 12, 16])
+    @pytest.mark.parametrize("kind", ["ranking", "triplet", "infonce"])
+    def test_batch_equals_mean_of_single_rows(self, kind, batch):
+        rng = np.random.default_rng(batch)
+        config = LossConfig(kind=kind, margin=0.7, infonce_temperature=0.6, ranking_temperature=1.4)
+        rows = [rng.normal(size=(batch, 6)) for _ in range(3)]
+        s = rng.uniform(0.05, 1.0, size=(batch, 2))
+        triples = [Triple(0, 1, 2, s_ap, s_an) for s_ap, s_an in s]
+        value, grads = self._value_and_grads(config, rows, triples)
+        singles = [self._value_and_grads(config, [r[i : i + 1] for r in rows], [triples[i]]) for i in range(batch)]
+        assert abs(value - np.mean([v for v, _ in singles])) < 1e-12
+        for k in range(3):
+            expected = np.concatenate([g[k] for _, g in singles]) / batch
+            np.testing.assert_allclose(grads[k], expected, rtol=0, atol=1e-12)
+
+    def test_array_and_scalar_similarities_agree(self):
+        rng = np.random.default_rng(9)
+        fa, fp, fn = (Tensor(rng.normal(size=(4, 5))) for _ in range(3))
+        scalar = ranking_loss(fa, fp, fn, 0.6, 0.3).item()
+        assert ranking_loss(fa, fp, fn, np.full(4, 0.6), np.full(4, 0.3)).item() == scalar
+        targets = ranking_target(np.array([0.6, 0.2]), np.array([0.3, 0.2]))
+        np.testing.assert_array_equal(targets, [0.6 / (0.6 + 0.3), 0.5])
+        with pytest.raises(ValueError):
+            ranking_target(np.array([0.5, 0.0]), np.array([0.5, 0.0]))
 
 
 class TestTripleType:

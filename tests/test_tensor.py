@@ -13,7 +13,6 @@ from sgembed.tensor import (
     IndexRangeError,
     Mode,
     ShapeError,
-    Tape,
     Tensor,
     backward,
 )
@@ -109,14 +108,21 @@ class TestBackwardBasics:
         x = t([[1.0, 2.0]])
         h = T.relu(x)
         loss = T.sum(T.mul(h, h))
-        tape = Tape.trace(loss)
+        nodes = T._topological_nodes(loss)
         seen = set()
-        for node in tape.nodes:
+        for node in nodes:
             for parent in node.parents:
                 if parent.node is not None:
                     assert id(parent.node) in seen, "parent must precede child"
             assert id(node) not in seen, "node listed twice"
             seen.add(id(node))
+
+    def test_row_sum_values_and_bad_axes(self):
+        x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(T.sum(x, axis=1).data, [6.0, 15.0])
+        for bad, axis in ((x, 0), (x, 2), (x, -1), (t([1.0, 2.0]), 1)):
+            with pytest.raises(ShapeError):
+                T.sum(bad, axis=axis)
 
     def test_relu_kink_subgradient_zero(self):
         x = t([0.0, -1.0, 2.0])
@@ -173,6 +179,13 @@ class TestGradientsVsFiniteDifferences:
         rng = np.random.default_rng(seed)
         a = t(rng.normal(size=(4, 3)) + 0.05)  # keep preactivations off the kink
         self._check(lambda: T.mean(T.relu(a)), [a])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        a = t(rng.normal(size=(4, 3)))
+        weights = t(rng.normal(size=4))
+        self._check(lambda: T.sum(T.mul(T.sum(a, axis=1), weights)), [a, weights])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_concat_and_gather(self, seed):

@@ -1,15 +1,18 @@
 """Training loop: determinism, checkpoint round trips, learning progress."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from sgembed.checkpoint import load_checkpoint, models_equal
 from sgembed.evaluate import evaluate
 from sgembed.model import GcnModel, ModelConfig
-from sgembed.objectives import LossConfig, SamplerConfig
-from sgembed.scene import split_dataset
+from sgembed.objectives import LossConfig, SamplerConfig, TripleSampler
+from sgembed.scene import augment_trivial, split_dataset
 from sgembed.synth import SynthConfig, generate
-from sgembed.train import TrainConfig, train
+from sgembed.tensor import TapeNode, backward
+from sgembed.train import TrainConfig, _batch_loss, train
 
 TINY_MODEL = ModelConfig(label_dim=8, message_dim=8, out_dim=8, num_layers=2, mlp_hidden=8)
 
@@ -87,6 +90,26 @@ class TestTrainBasics:
         assert (tmp_path / "epoch_0004.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
+
+
+class TestTapeLifetime:
+    def test_tape_freed_by_reference_counting(self):
+        """With the cyclic collector off, dropping the loss frees every tape node."""
+        ds = tiny_dataset()
+        model = GcnModel.create(TINY_MODEL, ds.vocab, seed=0)
+        sampler = TripleSampler(ds.similarity, SamplerConfig(), candidates=ds.split.train)
+        augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in ds.split.train}
+        triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
+        gc.collect()
+        gc.disable()
+        try:
+            loss = _batch_loss(model, augmented, triples, LossConfig())
+            backward(loss)
+            del loss
+            leftover = sum(isinstance(o, TapeNode) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert leftover == 0
 
 
 class TestDeterminism:
