@@ -93,6 +93,9 @@ def load_checkpoint(
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r}")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: malformed 'extra': not a JSON object")
     payload = np.frombuffer(raw[16 + header_len :], dtype="<f8")
     if payload.size != header["total_floats"]:
         raise CheckpointError(
@@ -134,7 +137,7 @@ def load_checkpoint(
         if not 0 <= start <= payload.size - arr.size:
             raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
         np.copyto(arr, payload[start : start + arr.size].reshape(arr.shape))
-    return model, header.get("extra", {})
+    return model, extra
 
 
 def _field(path, section: str, entry, key: str, kind: type):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .model import GcnModel, embed_graphs
 from .scene import Dataset, augment_trivial, corrupt
-from .tensor import Mode
 
 RECALL_KS = (1, 5, 10, 20, 50)
+_QUERY_BLOCK = 256  # queries scored per matmul: the score block is _QUERY_BLOCK x index size
 
 
 class UndefinedMetricError(ValueError):
@@ -31,6 +31,8 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"inputs must be equal-length 1-d vectors, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite")
     if x.shape[0] < 2:
         raise UndefinedMetricError("correlation requires at least 2 observations")
     return x, y
@@ -45,10 +47,8 @@ def kendall_tau(x, y) -> float:
     """Tie-corrected Kendall correlation (tau-b)."""
     x, y = _check_pair(x, y)
     n = x.shape[0]
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, 1)
-    concordant_minus_discordant = float((sx[iu] * sy[iu]).sum())
+    # row i of the pair-sign product, one row at a time: every term is an exact integer
+    concordant_minus_discordant = sum(float(np.sign(x[i + 1 :] - x[i]) @ np.sign(y[i + 1 :] - y[i])) for i in range(n))
     n0 = n * (n - 1) / 2.0
     denom = (n0 - _tie_term(x)) * (n0 - _tie_term(y))
     if denom <= 0.0:
@@ -139,7 +139,7 @@ def evaluate_embeddings(embeddings: np.ndarray, sim_values: np.ndarray) -> EvalR
     iu = np.triu_indices(n, 1)
     for name, fn in _METRICS.items():
         try:
-            all_pairs[name] = fn(sim_values[iu], model_sims[iu]) if iu[0].size >= 2 else None
+            all_pairs[name] = fn(sim_values[iu], model_sims[iu])
         except UndefinedMetricError:
             all_pairs[name] = None
     return EvalReport(row_wise=row_wise, all_pairs=all_pairs, n_images=n, row_coverage=row_counts)
@@ -151,7 +151,7 @@ def evaluate(model: GcnModel, dataset: Dataset, indices) -> EvalReport:
     if not indices:
         raise ValueError("cannot evaluate an empty split")
     graphs = [augment_trivial(dataset.graphs[i], dataset.vocab) for i in indices]
-    embeddings = embed_graphs(model, graphs, Mode.EVAL)
+    embeddings = embed_graphs(model, graphs)
     sim_values = dataset.similarity.values[np.ix_(indices, indices)]
     return evaluate_embeddings(embeddings, sim_values)
 
@@ -194,14 +194,13 @@ def rank_queries(index_embeddings: np.ndarray, query_embeddings: np.ndarray, tar
     """
     index_embeddings = np.asarray(index_embeddings)
     query_embeddings = np.asarray(query_embeddings)
-    n = index_embeddings.shape[0]
     ranks = []
-    for q, target in zip(query_embeddings, targets):
-        scores = index_embeddings @ q
-        order = np.lexsort((np.arange(n), -scores))
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(1, n + 1)
-        ranks.append(int(position[target]))
+    for start in range(0, len(targets), _QUERY_BLOCK):
+        block = np.asarray(targets[start : start + _QUERY_BLOCK])[:, None]
+        scores = query_embeddings[start : start + len(block)] @ index_embeddings.T
+        own = np.take_along_axis(scores, block, axis=1)
+        ahead = (scores > own) | ((scores == own) & (np.arange(scores.shape[1]) < block))
+        ranks.extend((1 + ahead.sum(axis=1)).tolist())
     return tuple(ranks)
 
 
@@ -239,10 +238,10 @@ def noise_sweep(model: GcnModel, dataset: Dataset, indices, m_list, seed: int) -
     if not indices:
         raise ValueError("cannot run retrieval on an empty split")
     clean = [augment_trivial(dataset.graphs[i], dataset.vocab) for i in indices]
-    index_embeddings = embed_graphs(model, clean, Mode.EVAL)
+    index_embeddings = embed_graphs(model, clean)
     reports = []
     for m in m_list:
-        query_embeddings = embed_graphs(model, _corrupted_queries(dataset, indices, m, seed), Mode.EVAL)
+        query_embeddings = embed_graphs(model, _corrupted_queries(dataset, indices, m, seed))
         ranks = rank_queries(index_embeddings, query_embeddings, range(len(indices)))
         reports.append(_report_from_ranks(m, ranks))
     return reports

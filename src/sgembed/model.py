@@ -216,8 +216,13 @@ def layer_forward(
     edge_states: Tensor,
     batch: BatchedGraph,
     mode: Mode,
-) -> tuple[Tensor, Tensor]:
-    """One convolution: per-edge messages, edge update, mean-pooled node update."""
+    update_edges: bool = True,
+) -> tuple[Tensor, Tensor | None]:
+    """One convolution: per-edge messages, edge update, mean-pooled node update.
+
+    With ``update_edges`` false the edge head is skipped and the new edge
+    states are None: the last layer's edge states feed nothing.
+    """
     src_states = T.gather_rows(node_states, batch.edge_src)
     tgt_states = T.gather_rows(node_states, batch.edge_tgt)
     trunk_in = T.concat([src_states, edge_states, tgt_states], axis=1)
@@ -232,7 +237,7 @@ def layer_forward(
     )
     msg_to_src = T.add(T.matmul(hidden, layer.head_s_w), layer.head_s_b)
     msg_to_tgt = T.add(T.matmul(hidden, layer.head_t_w), layer.head_t_b)
-    new_edge_states = T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b)
+    new_edge_states = T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b) if update_edges else None
 
     messages = T.concat([msg_to_src, msg_to_tgt], axis=0)
     segment_ids = np.concatenate([batch.edge_src, batch.edge_tgt])
@@ -274,8 +279,9 @@ def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
     if (per_graph_trivial == 0).any():
         raise ValueError("forward expects augmented graphs (missing trivial node); call augment_trivial")
     node_states, edge_states = embed_inputs(model, batch)
-    for layer in model.layers:
-        node_states, edge_states = layer_forward(layer, node_states, edge_states, batch, mode)
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        node_states, edge_states = layer_forward(layer, node_states, edge_states, batch, mode, update_edges=i < last)
     graph_ids = batch.graph_ids
     if not model.config.pool_include_trivial:
         keep = np.flatnonzero(~batch.trivial_mask)
@@ -284,14 +290,18 @@ def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
     return pool(node_states, graph_ids, batch.num_graphs, renormalize=model.config.renormalize_embedding)
 
 
-def embed_graphs(model: GcnModel, graphs, mode: Mode = Mode.EVAL, batch_size: int = 128) -> np.ndarray:
+_EMBED_BATCH = 128  # graphs per disjoint-union forward; bounds embed_graphs' working memory
+
+
+def embed_graphs(model: GcnModel, graphs) -> np.ndarray:
     """Embeddings of many graphs as a plain (n, out_dim) array, from chunked
-    forwards on parameters that share the model's arrays but record no tape."""
+    EVAL-mode forwards on parameters that share the model's arrays but record
+    no tape."""
     graphs = list(graphs)
     tables = (Tensor(model.object_table.data), Tensor(model.relationship_table.data))
     layers = [replace(layer, **{n: Tensor(getattr(layer, n).data) for n in _LAYER_PARAMS}) for layer in model.layers]
     frozen = GcnModel(model.config, model.vocab, *tables, layers)
     chunks = []
-    for start in range(0, len(graphs), batch_size):
-        chunks.append(forward(frozen, graphs[start : start + batch_size], mode).data)
+    for start in range(0, len(graphs), _EMBED_BATCH):
+        chunks.append(forward(frozen, graphs[start : start + _EMBED_BATCH], Mode.EVAL).data)
     return np.vstack(chunks) if chunks else np.zeros((0, model.config.out_dim))

@@ -151,6 +151,7 @@ _MALFORMED = [
     ("tensors_not_list", lambda h: h.update(tensors={}), "tensors"),
     *[(f"tensor_no_{k}", lambda h, k=k: h["tensors"][0].pop(k), k) for k in ("name", "shape", "offset")],
     ("tensor_offset_outside_payload", lambda h: h["tensors"][-1].update(offset=h["total_floats"]), "offset"),
+    ("extra_not_object", lambda h: h.update(extra=[]), "extra"),
 ]
 
 

@@ -2,6 +2,7 @@
 and the retrieval machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sgembed.evaluate import (
     EvalReport,
     RECALL_KS,
     UndefinedMetricError,
+    _QUERY_BLOCK,
     _average_ranks,
     evaluate,
     evaluate_embeddings,
@@ -140,6 +142,23 @@ class TestMetricOracles:
             v = rng.integers(0, levels, size=n).astype(np.float64) * 0.1
             np.testing.assert_array_equal(_average_ranks(v), scipy.stats.rankdata(v, method="average"))
 
+    @pytest.mark.parametrize("n", [3, 60, 300])
+    def test_kendall_equals_pair_oracle_exactly_on_tie_heavy_vectors(self, n):
+        rng = np.random.default_rng(n)
+        for levels in (2, 5, n // 3 + 1):
+            x = rng.integers(0, levels, size=n) * 0.1
+            y = rng.integers(0, levels, size=n) * 0.1
+            assert kendall_tau(x, y) == oracle_kendall_tau_b(list(x), list(y))
+
+    @pytest.mark.parametrize("metric", [kendall_tau, spearman_rho, pearson_r])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, metric, bad):
+        finite = [5.0, 4.0, 3.0, 2.0, 1.0]
+        for x, y in (([bad, bad, 1.0, 2.0, 3.0], finite), (finite, [1.0, 2.0, bad, 4.0, 5.0])):
+            with pytest.raises(ValueError, match="finite") as exc:
+                metric(x, y)
+            assert not isinstance(exc.value, UndefinedMetricError)
+
     def test_constant_input_undefined(self):
         with pytest.raises(UndefinedMetricError):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -213,6 +232,38 @@ class TestEvaluateEmbeddings:
         for v in report.row_wise.values():
             assert v is None or -1.0 <= v <= 1.0
 
+    def test_memory_linear_in_pairs(self):
+        emb, s = _tie_heavy_block(100)
+        tracemalloc.start()
+        try:
+            evaluate_embeddings(emb, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_all_pairs_match_scipy_at_200_images(self):
+        emb, s = _tie_heavy_block(200)
+        report = evaluate_embeddings(emb, s)
+        iu = np.triu_indices(200, 1)
+        x, y = s[iu], (emb @ emb.T)[iu]
+        oracle = {
+            "kendall_tau": scipy.stats.kendalltau(x, y).statistic,
+            "spearman_rho": scipy.stats.spearmanr(x, y).statistic,
+            "pearson_r": scipy.stats.pearsonr(x, y).statistic,
+        }
+        for name, value in oracle.items():
+            assert abs(report.all_pairs[name] - value) < 1e-10
+
+
+def _tie_heavy_block(n):
+    """Unit embeddings and a symmetric similarity block quantized to 21 levels."""
+    rng = np.random.default_rng(n)
+    s = rng.uniform(0.0, 1.0, size=(n, n))
+    s = np.round((s + s.T) / 2 * 20) / 20
+    np.fill_diagonal(s, 1.0)
+    return random_unit_embeddings(n, 16, n), s
+
 
 class TestRetrieval:
     def test_hand_built_ranking(self):
@@ -227,6 +278,25 @@ class TestRetrieval:
         # indexes 0 and 1 tie; target 1 must rank second
         assert rank_queries(index, queries, [0]) == (1,)
         assert rank_queries(index, queries, [1]) == (2,)
+
+    def test_ranks_equal_stable_argsort_on_tie_heavy_inputs(self):
+        # Small-integer coordinates make every score exact, so ties are real.
+        rng = np.random.default_rng(7)
+        distinct = rng.integers(-1, 2, size=(40, 3)).astype(np.float64)
+        index = distinct[rng.integers(0, 40, size=300)]  # many duplicate rows
+        n_queries = 2 * _QUERY_BLOCK + 37
+        queries = np.where(
+            rng.random((n_queries, 1)) < 0.5,
+            index[rng.integers(0, 300, size=n_queries)],
+            rng.integers(-2, 3, size=(n_queries, 3)),
+        )
+        queries[1::5] = queries[0]  # repeated queries
+        targets = rng.integers(0, 300, size=n_queries).tolist()
+        expected = []
+        for q, target in zip(queries, targets):
+            order = np.argsort(-(index @ q), kind="stable")
+            expected.append(int(np.flatnonzero(order == target)[0]) + 1)
+        assert rank_queries(index, queries, targets) == tuple(expected)
 
     def _trained_free_setup(self, tiny_vocab, n=10):
         ds = make_dataset(n, tiny_vocab, seed=9)
