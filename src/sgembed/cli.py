@@ -45,7 +45,7 @@ from .objectives import (
     LOSS_KINDS,
     SAMPLER_KINDS,
 )
-from .scene import Dataset, DatasetFormatError, load_dataset, save_dataset, split_dataset
+from .scene import Dataset, DatasetFormatError, check_split_ratios, load_dataset, save_dataset, split_dataset
 from .synth import SynthConfig, dataset_stats, generate, write_stats
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -133,12 +133,23 @@ def _flag_types(cls) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if hints[f.name] in (int, float)}
 
 
+def _cast(key: str, typ: type, value):
+    """``value`` as ``typ``; ValueError naming ``key`` for a boolean, a fractional int or a value ``typ`` refuses."""
+    fractional = typ is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return typ(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config field {key!r} must be {typ.__name__}, got {value!r}")
+
+
 def _config(cls, values: dict, **fields):
     """``cls`` with its int and float fields that ``values`` sets, cast to the field type.
 
     Fields ``values`` does not set keep the dataclass default.
     """
-    cast = {name: typ(values[name]) for name, typ in _flag_types(cls).items() if name in values}
+    cast = {name: _cast(name, typ, values[name]) for name, typ in _flag_types(cls).items() if name in values}
     return cls(**cast, **fields)
 
 
@@ -185,7 +196,7 @@ def _cmd_train(args) -> int:
     out = _out_dir(args)
     values = _merged(_load_config_file(args.config), args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
     config = _train_config_from(values)
-    split_seed = int(values.get("split_seed", DEFAULT_SPLIT_SEED))
+    split_seed = _cast("split_seed", int, values.get("split_seed", DEFAULT_SPLIT_SEED))
     dataset = _load_data(args.data)
     dataset = dataset.with_split(split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed))
     _write_resolved_config(out, {"command": "train", "split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
@@ -198,9 +209,15 @@ def _cmd_train(args) -> int:
 
 def _checkpoint_and_split(args, dataset: Dataset):
     model, extra = load_checkpoint(args.checkpoint, expected_vocab_hash=dataset.vocab.content_hash())
-    seed = args.split_seed if args.split_seed is not None else extra.get("split_seed", DEFAULT_SPLIT_SEED)
-    ratios = tuple(extra.get("split_ratios", DEFAULT_SPLIT_RATIOS))
-    return model, split_dataset(dataset, ratios, int(seed))
+    seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
+    if type(seed) is not int or seed < 0:
+        raise CheckpointError(f"{args.checkpoint}: malformed 'split_seed': {seed!r} is not a non-negative integer")
+    ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
+    try:
+        check_split_ratios(ratios)
+    except ValueError as e:
+        raise CheckpointError(f"{args.checkpoint}: malformed 'split_ratios': {e}") from None
+    return model, split_dataset(dataset, tuple(ratios), seed if args.split_seed is None else args.split_seed)
 
 
 def _cmd_eval(args) -> int:

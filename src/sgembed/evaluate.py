@@ -33,53 +33,66 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"inputs must be equal-length 1-d vectors, got {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
-    if x.shape[0] < 2:
-        raise UndefinedMetricError("correlation requires at least 2 observations")
     return x, y
 
 
-def _tie_term(v: np.ndarray) -> float:
-    _, counts = np.unique(v, return_counts=True)
-    return float((counts * (counts - 1) // 2).sum())
+def _one_row(metric, x, y) -> float:
+    value = metric(*(v[None] for v in _check_pair(x, y)))[0]
+    if np.isnan(value):
+        raise UndefinedMetricError("correlation undefined for a constant input or fewer than 2 observations")
+    return float(value)
+
+
+def _count_below(v: np.ndarray) -> np.ndarray:
+    """Per value, how many in its row (last axis) are strictly smaller: where its run of ties starts when sorted."""
+    order = np.argsort(v, axis=-1)
+    starts = np.diff(np.take_along_axis(v, order, axis=-1), axis=-1, prepend=-np.inf) != 0
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(v.shape[-1]), 0), axis=-1)
+    return np.take_along_axis(run_start, np.argsort(order, axis=-1), axis=-1)
+
+
+def _kendall_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tau-b of each row pair of (r, m) arrays; NaN where a row is constant."""
+    xy = np.stack([x, y])
+    # pair (i, j > i) signs one column i at a time: memory O(r*m), and every term is an exact integer
+    terms = (np.sign(xy[..., i + 1 :] - xy[..., i, None]).prod(axis=0).sum(axis=-1) for i in range(x.shape[-1]))
+    concordant_minus_discordant = sum(terms, np.zeros(len(x)))
+    # a row's counts of smaller values sum to its pairs of distinct values: n0 minus the tied pairs
+    denom = _count_below(xy).sum(axis=-1, dtype=np.float64).prod(axis=0)
+    return np.divide(concordant_minus_discordant, np.sqrt(denom), out=np.full(len(x), np.nan), where=denom > 0.0)
 
 
 def kendall_tau(x, y) -> float:
     """Tie-corrected Kendall correlation (tau-b)."""
-    x, y = _check_pair(x, y)
-    n = x.shape[0]
-    # row i of the pair-sign product, one row at a time: every term is an exact integer
-    concordant_minus_discordant = sum(float(np.sign(x[i + 1 :] - x[i]) @ np.sign(y[i + 1 :] - y[i])) for i in range(n))
-    n0 = n * (n - 1) / 2.0
-    denom = (n0 - _tie_term(x)) * (n0 - _tie_term(y))
-    if denom <= 0.0:
-        raise UndefinedMetricError("kendall tau undefined for a constant input")
-    return concordant_minus_discordant / np.sqrt(denom)
+    return _one_row(_kendall_rows, x, y)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks; each run of tied values gets the mean of its positions."""
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)  # 1-based position of the last member of each run
-    return (ends - (counts - 1) / 2.0)[inverse]
+    """1-based ranks along the last axis; a run of ties gets the mean of its positions (smaller + 1 to m - larger)."""
+    return (_count_below(v) + 1 + v.shape[-1] - _count_below(-v)) / 2.0
+
+
+def _spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _pearson_rows(_average_ranks(x), _average_ranks(y))
 
 
 def spearman_rho(x, y) -> float:
     """Pearson correlation of average ranks."""
-    x, y = _check_pair(x, y)
-    return pearson_r(_average_ranks(x), _average_ranks(y))
+    return _one_row(_spearman_rows, x, y)
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair of (r, m) arrays; NaN where a row is constant or empty."""
+    xc, yc = (v - v.sum(axis=-1, keepdims=True) / max(v.shape[-1], 1) for v in (x, y))  # an empty row has no mean
+    denom = np.sqrt((xc * xc).sum(axis=-1) * (yc * yc).sum(axis=-1))
+    return np.divide((xc * yc).sum(axis=-1), denom, out=np.full(denom.shape, np.nan), where=denom != 0.0)
 
 
 def pearson_r(x, y) -> float:
-    x, y = _check_pair(x, y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0.0:
-        raise UndefinedMetricError("pearson r undefined for a constant input")
-    return float((xc * yc).sum() / denom)
+    return _one_row(_pearson_rows, x, y)
 
 
-_METRICS = {"kendall_tau": kendall_tau, "spearman_rho": spearman_rho, "pearson_r": pearson_r}
+_METRICS = {"kendall_tau": _kendall_rows, "spearman_rho": _spearman_rows, "pearson_r": _pearson_rows}
 METRIC_NAMES = tuple(_METRICS)
 
 
@@ -118,31 +131,18 @@ def evaluate_embeddings(embeddings: np.ndarray, sim_values: np.ndarray) -> EvalR
     if sim_values.shape != (n, n):
         raise ValueError(f"similarity block must be {n}x{n}, got {sim_values.shape}")
     model_sims = embeddings @ embeddings.T
-
-    row_sums: dict[str, float] = {name: 0.0 for name in METRIC_NAMES}
-    row_counts: dict[str, int] = {name: 0 for name in METRIC_NAMES}
-    for i in range(n):
-        others = np.arange(n) != i
-        x = sim_values[i, others]
-        y = model_sims[i, others]
-        for name, fn in _METRICS.items():
-            try:
-                row_sums[name] += fn(x, y)
-            except UndefinedMetricError:
-                continue
-            row_counts[name] += 1
-    row_wise = {
-        name: (row_sums[name] / row_counts[name] if row_counts[name] else None) for name in METRIC_NAMES
-    }
-
-    all_pairs: dict[str, float | None] = {}
+    x, y = (v[~np.eye(n, dtype=bool)].reshape(n, max(n - 1, 0)) for v in (sim_values, model_sims))
+    _check_pair(x.ravel(), y.ravel())  # non-finite similarities raise ValueError
     iu = np.triu_indices(n, 1)
-    for name, fn in _METRICS.items():
-        try:
-            all_pairs[name] = fn(sim_values[iu], model_sims[iu])
-        except UndefinedMetricError:
-            all_pairs[name] = None
-    return EvalReport(row_wise=row_wise, all_pairs=all_pairs, n_images=n, row_coverage=row_counts)
+    row_wise, all_pairs, row_coverage = {}, {}, {}
+    for name, metric in _METRICS.items():
+        rows = metric(x, y)
+        defined = rows[~np.isnan(rows)]
+        row_coverage[name] = defined.size
+        row_wise[name] = float(np.cumsum(defined)[-1] / defined.size) if defined.size else None  # left to right
+        (pairs,) = metric(sim_values[iu][None], model_sims[iu][None])
+        all_pairs[name] = None if np.isnan(pairs) else float(pairs)
+    return EvalReport(row_wise=row_wise, all_pairs=all_pairs, n_images=n, row_coverage=row_coverage)
 
 
 def evaluate(model: GcnModel, dataset: Dataset, indices) -> EvalReport:
@@ -301,10 +301,9 @@ def write_ranks_csv(report: RetrievalReport, image_ids, path) -> None:
 
 def write_recall_curve_csv(report: RetrievalReport, path) -> None:
     """Recall at every k from 1 to the index size, for recall-vs-k plots."""
-    arr = np.asarray(report.ranks, dtype=np.float64)
-    n = arr.shape[0]
+    n = len(report.ranks)
+    hits = np.cumsum(np.bincount(report.ranks, minlength=n + 1)[1 : n + 1])  # ranks <= k, for k = 1..n
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "recall"])
-        for k in range(1, n + 1):
-            writer.writerow([k, _fmt(float((arr <= k).mean()))])
+        writer.writerows([k, _fmt(float(h / n))] for k, h in enumerate(hits, 1))

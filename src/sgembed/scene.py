@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +101,7 @@ class SceneGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    def validate(self, vocab: Vocabulary, allow_self_loops: bool = False) -> None:
+    def validate(self, vocab: Vocabulary) -> None:
         n = len(self.nodes)
         for label in self.nodes:
             if not 0 <= label < len(vocab.object_labels):
@@ -110,7 +111,7 @@ class SceneGraph:
                 raise DatasetFormatError(f"{self.image_id}: edge endpoint out of range")
             if not 0 <= rel < len(vocab.relationship_labels):
                 raise UnknownLabelError(f"{self.image_id}: relationship label index {rel} out of range")
-            if src == tgt and not allow_self_loops:
+            if src == tgt:
                 raise DatasetFormatError(f"{self.image_id}: self-loop outside trivial construction")
 
 
@@ -343,11 +344,22 @@ def corrupt(g: SceneGraph, m: int, rng_seed) -> SceneGraph:
     )
 
 
-def split_dataset(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Split:
-    """Deterministic shuffled split; sizes are floored, remainder goes to train."""
+def check_split_ratios(ratios) -> None:
+    """ValueError unless ``ratios`` are three finite non-negative numbers summing to 1."""
+    if not (
+        isinstance(ratios, (tuple, list))
+        and len(ratios) == 3
+        and all(isinstance(r, numbers.Real) and not isinstance(r, bool) and math.isfinite(r) and r >= 0 for r in ratios)
+    ):
+        raise ValueError(f"split ratios must be three finite non-negative numbers, got {ratios!r}")
     total = math.fsum(ratios)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {total}")
+
+
+def split_dataset(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Split:
+    """Deterministic shuffled split; sizes are floored, remainder goes to train."""
+    check_split_ratios(ratios)
     n = len(dataset.graphs)
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(n * ratios[0])

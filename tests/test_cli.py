@@ -169,6 +169,21 @@ class TestConfigFile:
         lines = [l for l in open(os.path.join(out, "graphs.jsonl")).read().splitlines() if l]
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("value", [20.9, True, "abc", [20]])
+    def test_int_field_rejects_booleans_and_non_integral_values(self, tmp_path, capsys, value):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"n_images": value}))
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data")]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("ValueError:") and "n_images" in last
+        assert not (tmp_path / "data" / "graphs.jsonl").exists()
+
+    def test_float_field_rejects_booleans(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"learning_rate": True}))
+        assert main(["train", "--data", pipeline["data"], "--config", str(config), "--out", str(tmp_path)]) == EXIT_BAD_DATA
+        assert "learning_rate" in capsys.readouterr().err.splitlines()[-1]
+
     def test_missing_config_file_exit_code(self, tmp_path):
         r = run_cli(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert r.returncode == EXIT_MISSING_FILE
@@ -231,6 +246,31 @@ class TestExitCodes:
         assert r.returncode == EXIT_BAD_DATA
         last = r.stderr.splitlines()[-1]
         assert last.startswith("CheckpointError:") and "vocab_hash" in last
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("split_ratios", 5),
+            ("split_ratios", [0.5, 0.5]),
+            ("split_ratios", ["a", "b", "c"]),
+            ("split_ratios", [1.5, -0.5, 0.0]),
+            ("split_seed", [1]),
+            ("split_seed", 1.5),
+        ],
+    )
+    def test_malformed_split_metadata(self, pipeline, tmp_path, capsys, key, value):
+        blob = open(pipeline["ckpt"], "rb").read()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        header["extra"][key] = value
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+        out = tmp_path / "e"
+        assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"CheckpointError: {ckpt}: malformed '{key}'")
+        assert not (out / "eval_report.json").exists()
 
     def test_error_is_single_machine_readable_line(self, tmp_path):
         r = run_cli(["stats", "--data", str(tmp_path / "nope")])

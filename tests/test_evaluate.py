@@ -11,8 +11,11 @@ import scipy.stats
 from conftest import make_dataset
 from sgembed.evaluate import (
     EvalReport,
+    METRIC_NAMES,
     RECALL_KS,
+    RetrievalReport,
     UndefinedMetricError,
+    _METRICS,
     _QUERY_BLOCK,
     _average_ranks,
     evaluate,
@@ -24,6 +27,7 @@ from sgembed.evaluate import (
     rank_queries,
     retrieval_experiment,
     spearman_rho,
+    write_recall_curve_csv,
 )
 from sgembed.model import GcnModel, ModelConfig
 from sgembed.scene import split_dataset
@@ -142,6 +146,13 @@ class TestMetricOracles:
             v = rng.integers(0, levels, size=n).astype(np.float64) * 0.1
             np.testing.assert_array_equal(_average_ranks(v), scipy.stats.rankdata(v, method="average"))
 
+    @pytest.mark.parametrize("n", [2, 17, 100])
+    def test_average_ranks_of_stacked_rows_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.integers(0, 4, size=(n, n - 1)) * 0.25
+        v[0] = 0.5  # a constant row
+        np.testing.assert_array_equal(_average_ranks(v), scipy.stats.rankdata(v, method="average", axis=1))
+
     @pytest.mark.parametrize("n", [3, 60, 300])
     def test_kendall_equals_pair_oracle_exactly_on_tie_heavy_vectors(self, n):
         rng = np.random.default_rng(n)
@@ -231,6 +242,51 @@ class TestEvaluateEmbeddings:
         assert report.n_images == 8
         for v in report.row_wise.values():
             assert v is None or -1.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 100])
+    def test_stacked_metrics_equal_one_dimensional_metrics_on_every_row(self, n):
+        emb, s = _tie_heavy_block(n)
+        x, y = (v[~np.eye(n, dtype=bool)].reshape(n, n - 1) for v in (s, np.round(emb @ emb.T, 1)))
+        constant = [0, n - 1] if n > 2 else []
+        x[constant[:1]] = 0.5
+        y[constant[1:]] = -0.25
+        public = {"kendall_tau": kendall_tau, "spearman_rho": spearman_rho, "pearson_r": pearson_r}
+        for name, rows_fn in _METRICS.items():
+            rows = rows_fn(x, y)
+            assert rows.shape == (n,)
+            for i in range(n):
+                if n == 2 or i in constant:
+                    assert np.isnan(rows[i])
+                    with pytest.raises(UndefinedMetricError):
+                        public[name](x[i], y[i])
+                else:
+                    assert rows[i] == public[name](x[i], y[i])  # exactly: the 1-d metric is one row of the same code
+
+    def test_constant_rows_get_no_coverage(self):
+        emb, s = _tie_heavy_block(40)
+        s[[3, 7]] = 0.5
+        s[:, [3, 7]] = 0.5
+        np.fill_diagonal(s, 1.0)
+        report = evaluate_embeddings(emb, s)
+        assert report.row_coverage == {name: 38 for name in METRIC_NAMES}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tiny_blocks(self, n):
+        emb, s = _tie_heavy_block(n)
+        report = evaluate_embeddings(emb, s)
+        assert report.n_images == n
+        defined = n == 3
+        for name in METRIC_NAMES:
+            assert report.row_coverage[name] == (3 if defined else 0)
+            assert (report.row_wise[name] is not None) == defined
+            assert (report.all_pairs[name] is not None) == defined
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        emb, s = _tie_heavy_block(5)
+        emb[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_embeddings(emb, s)
 
     def test_memory_linear_in_pairs(self):
         emb, s = _tie_heavy_block(100)
@@ -363,3 +419,11 @@ class TestReportShapes:
         d = report.to_dict()
         assert d["row_wise"]["spearman_rho"] is None
         assert d["n_images"] == 10
+
+    def test_recall_curve_counts_ranks_at_every_k(self, tmp_path):
+        ranks = (3, 1, 7, 1, 2, 7, 4)
+        path = tmp_path / "recall_curve.csv"
+        write_recall_curve_csv(RetrievalReport(noise_level=1, mrr=0.5, recall_at={}, ranks=ranks), path)
+        arr = np.asarray(ranks, dtype=np.float64)
+        expected = ["k,recall"] + ["%d,%.6f" % (k, (arr <= k).mean()) for k in range(1, 8)]
+        assert path.read_text().splitlines() == expected

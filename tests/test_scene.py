@@ -1,5 +1,7 @@
 """Data model, file round-trips, augmentation and corruption."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,9 @@ class TestSplit:
         ds = make_dataset(4, tiny_vocab)
         with pytest.raises(ValueError):
             split_dataset(ds, (0.7, 0.2, 0.2), seed=0)
+        for ratios in (5, (0.5, 0.5), ("a", "b", "c"), (1.5, -0.5, 0.0), (0.5, 0.5, math.nan), (True, False, False)):
+            with pytest.raises(ValueError, match="three finite non-negative numbers"):
+                split_dataset(ds, ratios, seed=0)
 
 
 class TestTypes:

@@ -83,6 +83,17 @@ class TestTrainBasics:
         timing = (tmp_path / "timing.csv").read_text().strip().splitlines()
         assert timing[0] == "epoch,seconds"
 
+    def test_runlog_values_are_plain_numbers(self, tmp_path):
+        ds = tiny_dataset()
+        train(ds, tiny_config(epochs=2), out_dir=str(tmp_path))
+        rows = [line.split(",") for line in (tmp_path / "runlog.csv").read_text().strip().splitlines()[1:]]
+        taus = [tau for _, _, tau in rows if tau]
+        assert taus
+        for _, loss, tau in rows:
+            float(loss)
+            if tau:
+                float(tau)
+
     def test_periodic_checkpoints(self, tmp_path):
         ds = tiny_dataset()
         train(ds, tiny_config(epochs=4, checkpoint_every=2), out_dir=str(tmp_path))
