@@ -6,6 +6,8 @@ config, the full vocabulary (so a checkpoint is self-contained), its
 hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
 buffers alike) and any extra run metadata the trainer wants to keep.
+Version 1 files, which also held two config knobs and the last layer's
+edge head, are read by rewriting their header as version 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .model import GcnModel, ModelConfig
 from .scene import Vocabulary
 
 MAGIC = b"SGEMBED1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 
 
@@ -88,11 +90,14 @@ def load_checkpoint(
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    version = header.get("format_version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise CheckpointError(f"{path}: unsupported format version {version}")
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r}")
+    if version == 1:
+        _v1_to_v2(path, header)
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: malformed 'extra': not a JSON object")
@@ -102,10 +107,7 @@ def load_checkpoint(
             f"{path}: truncated payload ({payload.size} floats, expected {header['total_floats']})"
         )
 
-    try:
-        config = ModelConfig(**header["model_config"])
-    except TypeError as e:
-        raise CheckpointError(f"{path}: malformed 'model_config': {e}") from None
+    config = _model_config(path, header["model_config"])
     if expected_config is not None and config != expected_config:
         raise CheckpointConfigMismatch(
             f"{path}: checkpoint config {asdict(config)} differs from requested {asdict(expected_config)}"
@@ -138,6 +140,25 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
         np.copyto(arr, payload[start : start + arr.size].reshape(arr.shape))
     return model, extra
+
+
+def _model_config(path, values) -> ModelConfig:
+    try:
+        return ModelConfig(**values)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed 'model_config': {e}") from None
+
+
+def _v1_to_v2(path, header: dict) -> None:
+    """Drop a version 1 header's config knobs, which must be true, and its last-layer edge head entries."""
+    values = header["model_config"]
+    for knob in ("pool_include_trivial", "renormalize_embedding"):
+        if isinstance(values, dict) and values.pop(knob, True) is not True:
+            raise CheckpointError(f"{path}: version 1 model_config {knob!r} must be true")
+    last = _model_config(path, values).num_layers - 1
+    dead = {f"layers.{last}.head_e_w", f"layers.{last}.head_e_b"}
+    if isinstance(header["tensors"], list):
+        header["tensors"] = [e for e in header["tensors"] if not (isinstance(e, dict) and e.get("name") in dead)]
 
 
 def _field(path, section: str, entry, key: str, kind: type):

@@ -212,6 +212,8 @@ def _checkpoint_and_split(args, dataset: Dataset):
     seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
     if type(seed) is not int or seed < 0:
         raise CheckpointError(f"{args.checkpoint}: malformed 'split_seed': {seed!r} is not a non-negative integer")
+    if args.split_seed is not None and args.split_seed < 0:
+        raise ValueError(f"--split-seed {args.split_seed} is not a non-negative integer")
     ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
     try:
         check_split_ratios(ratios)

@@ -7,6 +7,7 @@ target plus the edge's next state via three linear heads, averages the
 messages arriving at each node, and passes the average through a second
 MLP followed by row-wise l2 normalization. Graph embeddings are the mean
 of the final node states over each graph, re-normalized to unit length.
+The last layer has no edge head: its edge states would feed nothing.
 
 Minibatches are processed as one disjoint-union graph: node indices are
 offset per graph and a per-node graph id drives the pooling.
@@ -15,7 +16,6 @@ offset per graph and a per-node graph id drives the pooling.
 from __future__ import annotations
 
 import math
-import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -27,7 +27,7 @@ from .tensor import BatchNormState, Mode, Tensor
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Widths and structural switches of the network.
+    """Widths and depth of the network.
 
     label_dim is the label-embedding width, message_dim the per-edge message
     width, out_dim the node / edge state and final embedding width.
@@ -38,13 +38,12 @@ class ModelConfig:
     out_dim: int = 300
     num_layers: int = 5
     mlp_hidden: int = 512
-    pool_include_trivial: bool = True
-    renormalize_embedding: bool = True
 
     def __post_init__(self):
-        for name in ("label_dim", "message_dim", "out_dim", "num_layers", "mlp_hidden"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ModelConfig.{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"ModelConfig.{f.name} must be a positive int, got {value!r}")
 
 
 @dataclass
@@ -60,8 +59,8 @@ class GcnLayerParams:
     head_s_b: Tensor
     head_t_w: Tensor
     head_t_b: Tensor
-    head_e_w: Tensor
-    head_e_b: Tensor
+    head_e_w: Tensor | None  # None in the last layer
+    head_e_b: Tensor | None
     node_w1: Tensor
     node_b1: Tensor
     node_gamma: Tensor
@@ -70,12 +69,10 @@ class GcnLayerParams:
     node_w2: Tensor
     node_b2: Tensor
 
-
-# Tensor fields are parameters and BatchNormState fields hold buffers, both
-# in field order: that order is the checkpoint's tensor layout.
-_LAYER_TYPES = typing.get_type_hints(GcnLayerParams)
-_LAYER_PARAMS = tuple(f.name for f in fields(GcnLayerParams) if _LAYER_TYPES[f.name] is Tensor)
-_LAYER_BUFFERS = tuple(f.name for f in fields(GcnLayerParams) if _LAYER_TYPES[f.name] is BatchNormState)
+    def named(self, kind: type) -> dict:
+        """Fields holding a ``kind`` (Tensor: parameters, BatchNormState: buffers) by name, in
+        field order: that order is the checkpoint's tensor layout."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if isinstance(getattr(self, f.name), kind)}
 
 
 def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
@@ -132,20 +129,20 @@ class GcnModel:
             rng.normal(0.0, table_std, size=(len(vocab.relationship_labels), d)), requires_grad=True
         )
         layers = [_create_layer(rng, d if i == 0 else config.out_dim, config) for i in range(config.num_layers)]
+        # Drawn and then dropped, so every other weight a seed gives is unchanged.
+        layers[-1].head_e_w = layers[-1].head_e_b = None
         return cls(config, vocab, object_table, relationship_table, layers)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"object_table": self.object_table, "relationship_table": self.relationship_table}
         for i, layer in enumerate(self.layers):
-            for name in _LAYER_PARAMS:
-                params[f"layers.{i}.{name}"] = getattr(layer, name)
+            params.update({f"layers.{i}.{name}": p for name, p in layer.named(Tensor).items()})
         return params
 
     def buffers(self) -> dict[str, np.ndarray]:
         buffers = {}
         for i, layer in enumerate(self.layers):
-            for name in _LAYER_BUFFERS:
-                bn = getattr(layer, name)
+            for name, bn in layer.named(BatchNormState).items():
                 buffers[f"layers.{i}.{name}.running_mean"] = bn.running_mean
                 buffers[f"layers.{i}.{name}.running_var"] = bn.running_var
         return buffers
@@ -161,10 +158,9 @@ class BatchedGraph:
     edge_tgt: np.ndarray
     graph_ids: np.ndarray
     num_graphs: int
-    trivial_mask: np.ndarray
 
     @classmethod
-    def from_graphs(cls, graphs, trivial_label: int | None = None) -> "BatchedGraph":
+    def from_graphs(cls, graphs) -> "BatchedGraph":
         graphs = list(graphs)
         if not graphs:
             raise ValueError("cannot batch an empty graph list")
@@ -183,15 +179,13 @@ class BatchedGraph:
                 edge_labels.append(r)
                 tgts.append(v + offset)
             offset += n
-        labels = np.asarray(node_labels, dtype=np.int64)
         return cls(
-            node_labels=labels,
+            node_labels=np.asarray(node_labels, dtype=np.int64),
             edge_labels=np.asarray(edge_labels, dtype=np.int64),
             edge_src=np.asarray(srcs, dtype=np.int64),
             edge_tgt=np.asarray(tgts, dtype=np.int64),
             graph_ids=np.asarray(gids, dtype=np.int64),
             num_graphs=len(graphs),
-            trivial_mask=(labels == trivial_label) if trivial_label is not None else np.zeros(len(labels), bool),
         )
 
     @property
@@ -216,12 +210,10 @@ def layer_forward(
     edge_states: Tensor,
     batch: BatchedGraph,
     mode: Mode,
-    update_edges: bool = True,
 ) -> tuple[Tensor, Tensor | None]:
     """One convolution: per-edge messages, edge update, mean-pooled node update.
 
-    With ``update_edges`` false the edge head is skipped and the new edge
-    states are None: the last layer's edge states feed nothing.
+    The new edge states are None for a layer without an edge head.
     """
     src_states = T.gather_rows(node_states, batch.edge_src)
     tgt_states = T.gather_rows(node_states, batch.edge_tgt)
@@ -237,7 +229,7 @@ def layer_forward(
     )
     msg_to_src = T.add(T.matmul(hidden, layer.head_s_w), layer.head_s_b)
     msg_to_tgt = T.add(T.matmul(hidden, layer.head_t_w), layer.head_t_b)
-    new_edge_states = T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b) if update_edges else None
+    new_edge_states = None if layer.head_e_w is None else T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b)
 
     messages = T.concat([msg_to_src, msg_to_tgt], axis=0)
     segment_ids = np.concatenate([batch.edge_src, batch.edge_tgt])
@@ -264,30 +256,20 @@ def layer_forward(
     return new_node_states, new_edge_states
 
 
-def pool(node_states: Tensor, graph_ids, num_graphs: int, renormalize: bool = True) -> Tensor:
-    """Mean of node states per graph, re-normalized to unit rows by default."""
-    out = T.segment_mean(node_states, graph_ids, num_graphs)
-    if renormalize:
-        out = T.rowwise_l2_normalize(out)
-    return out
+def pool(node_states: Tensor, graph_ids, num_graphs: int) -> Tensor:
+    """Mean of node states per graph, re-normalized to unit rows."""
+    return T.rowwise_l2_normalize(T.segment_mean(node_states, graph_ids, num_graphs))
 
 
 def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
     """Embed a list of augmented scene graphs; one row per graph."""
-    batch = BatchedGraph.from_graphs(graphs, trivial_label=model._trivial_label)
-    per_graph_trivial = np.bincount(batch.graph_ids, weights=batch.trivial_mask, minlength=batch.num_graphs)
-    if (per_graph_trivial == 0).any():
+    batch = BatchedGraph.from_graphs(graphs)
+    if np.unique(batch.graph_ids[batch.node_labels == model._trivial_label]).size < batch.num_graphs:
         raise ValueError("forward expects augmented graphs (missing trivial node); call augment_trivial")
     node_states, edge_states = embed_inputs(model, batch)
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        node_states, edge_states = layer_forward(layer, node_states, edge_states, batch, mode, update_edges=i < last)
-    graph_ids = batch.graph_ids
-    if not model.config.pool_include_trivial:
-        keep = np.flatnonzero(~batch.trivial_mask)
-        node_states = T.gather_rows(node_states, keep)
-        graph_ids = graph_ids[keep]
-    return pool(node_states, graph_ids, batch.num_graphs, renormalize=model.config.renormalize_embedding)
+    for layer in model.layers:
+        node_states, edge_states = layer_forward(layer, node_states, edge_states, batch, mode)
+    return pool(node_states, batch.graph_ids, batch.num_graphs)
 
 
 _EMBED_BATCH = 128  # graphs per disjoint-union forward; bounds embed_graphs' working memory
@@ -299,7 +281,7 @@ def embed_graphs(model: GcnModel, graphs) -> np.ndarray:
     no tape."""
     graphs = list(graphs)
     tables = (Tensor(model.object_table.data), Tensor(model.relationship_table.data))
-    layers = [replace(layer, **{n: Tensor(getattr(layer, n).data) for n in _LAYER_PARAMS}) for layer in model.layers]
+    layers = [replace(layer, **{n: Tensor(p.data) for n, p in layer.named(Tensor).items()}) for layer in model.layers]
     frozen = GcnModel(model.config, model.vocab, *tables, layers)
     chunks = []
     for start in range(0, len(graphs), _EMBED_BATCH):

@@ -369,11 +369,8 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def create(cls, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormState":
-        return cls(np.zeros(num_features), np.ones(num_features), momentum, eps)
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy(), self.momentum, self.eps)
+    def create(cls, num_features: int) -> "BatchNormState":
+        return cls(np.zeros(num_features), np.ones(num_features))
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: Mode) -> Tensor:

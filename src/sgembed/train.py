@@ -133,11 +133,6 @@ def train(
                 )
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {dump}")
             backward(loss)
-            # The last layer's edge head never feeds the pooled loss, so its
-            # gradient is identically zero rather than an accumulation bug.
-            for p in params.values():
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
             adam_step(params, state)
             loss_sum += value * len(triples)
             n_triples += len(triples)

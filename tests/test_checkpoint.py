@@ -14,8 +14,8 @@ from sgembed.checkpoint import (
     models_equal,
     save_checkpoint,
 )
-from sgembed.model import GcnModel, ModelConfig
-from sgembed.scene import Vocabulary
+from sgembed.model import GcnModel, ModelConfig, embed_graphs
+from sgembed.scene import SceneGraph, Vocabulary, augment_trivial
 
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
 
@@ -130,7 +130,8 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
     ]
     expected = [("object_table", [5, 5]), ("relationship_table", [4, 5])]
     expected += [("layers.0.trunk_w", [15, 6])] + [(f"layers.0.{n}", s) for n, s in layer]
-    expected += [("layers.1.trunk_w", [9, 6])] + [(f"layers.1.{n}", s) for n, s in layer]
+    # The last layer has no edge head.
+    expected += [("layers.1.trunk_w", [9, 6])] + [(f"layers.1.{n}", s) for n, s in layer if not n.startswith("head_e")]
     for i in (0, 1):
         for bn in ("trunk_bn", "node_bn"):
             expected += [(f"layers.{i}.{bn}.running_mean", [6]), (f"layers.{i}.{bn}.running_var", [6])]
@@ -145,6 +146,10 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
 _MALFORMED = [
     *[(k, lambda h, k=k: h.pop(k), k) for k in ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")],
     ("hidden_layers", lambda h: h["model_config"].update(hidden_layers=3), "hidden_layers"),
+    ("num_layers_fractional", lambda h: h["model_config"].update(num_layers=2.5), "num_layers"),
+    ("label_dim_float", lambda h: h["model_config"].update(label_dim=5.0), "label_dim"),
+    ("num_layers_bool", lambda h: h["model_config"].update(num_layers=True), "num_layers"),
+    ("model_config_not_object", lambda h: h.update(model_config=[2]), "model_config"),
     ("vocab_empty", lambda h: h.update(vocab={}), "objects"),
     ("vocab_not_object", lambda h: h.update(vocab=["cat"]), "vocab"),
     ("vocab_no_relationships", lambda h: h["vocab"].pop("relationships"), "relationships"),
@@ -166,3 +171,50 @@ def test_malformed_header_names_file_and_key(model, tmp_path, mutate, key):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value) and key in str(exc.value)
+
+
+def _write_v1(model, path, **knobs):
+    """``model`` saved as format version 1, which also stored the last
+    layer's edge head (here arbitrary floats) and two model knobs."""
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    c, total = model.config, header["total_floats"]
+    last = c.num_layers - 1
+    dead = [
+        {"name": f"layers.{last}.head_e_w", "shape": [c.mlp_hidden, c.out_dim], "offset": total},
+        {"name": f"layers.{last}.head_e_b", "shape": [c.out_dim], "offset": total + c.mlp_hidden * c.out_dim},
+    ]
+    at = [e["name"] for e in header["tensors"]].index(f"layers.{last}.node_w1")
+    header["tensors"][at:at] = dead
+    header["total_floats"] = total + (c.mlp_hidden + 1) * c.out_dim
+    header["format_version"] = 1
+    header["model_config"].update({"pool_include_trivial": True, "renormalize_embedding": True, **knobs})
+    dead_floats = np.random.default_rng(0).normal(size=(c.mlp_hidden + 1) * c.out_dim)
+    _write_header(path, header, payload + dead_floats.astype("<f8").tobytes())
+
+
+def test_version_1_file_loads_as_version_2(model, tmp_path, tiny_vocab):
+    v1 = tmp_path / "v1.ckpt"
+    _write_v1(model, v1)
+    loaded, _ = load_checkpoint(v1, expected_config=SMALL)
+    assert models_equal(model, loaded)
+    graphs = [augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab)]
+    np.testing.assert_array_equal(embed_graphs(loaded, graphs), embed_graphs(model, graphs))
+
+
+@pytest.mark.parametrize("knob", ["pool_include_trivial", "renormalize_embedding"])
+def test_version_1_knob_other_than_true_refused(model, tmp_path, knob):
+    path = tmp_path / "v1.ckpt"
+    _write_v1(model, path, **{knob: False})
+    with pytest.raises(CheckpointError, match=knob):
+        load_checkpoint(path)
+
+
+def test_unknown_format_version_refused(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    header["format_version"] = 3
+    _write_header(path, header, payload)
+    with pytest.raises(CheckpointError, match="unsupported format version 3"):
+        load_checkpoint(path)

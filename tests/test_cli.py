@@ -234,6 +234,14 @@ class TestExitCodes:
         assert last.startswith("ValueError:") and "--seeds" in last
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", [["eval"], ["retrieve", "--noise", "1"], ["sweep"]])
+    def test_negative_split_seed_names_the_flag(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [*command, "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--split-seed", "-1"]
+        assert main([*args, "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == "ValueError: --split-seed -1 is not a non-negative integer"
+        assert not out.exists() or not os.listdir(out)
+
     def test_malformed_checkpoint_header(self, pipeline, tmp_path):
         blob = open(pipeline["ckpt"], "rb").read()
         n = int.from_bytes(blob[8:16], "little")

@@ -1,6 +1,8 @@
 """GCN invariants: gather semantics, message means, norms, permutation and
 batching invariance, end-to-end gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ def model(tiny_vocab):
 
 def augmented(graphs, vocab):
     return [augment_trivial(g, vocab) for g in graphs]
+
+
+def test_last_edge_head_is_drawn_then_dropped(tiny_vocab):
+    """Every weight a seed gives is the same as if the last layer kept its edge head."""
+    two = GcnModel.create(SMALL, tiny_vocab, seed=3)
+    three = GcnModel.create(replace(SMALL, num_layers=3), tiny_vocab, seed=3)
+    assert two.layers[1].head_e_w is None and three.layers[1].head_e_w is not None
+    deeper = three.parameters()
+    for name, p in two.parameters().items():
+        np.testing.assert_array_equal(p.data, deeper[name].data, err_msg=name)
 
 
 class TestEmbedInputs:
@@ -112,14 +124,14 @@ class TestLayerForward:
 class TestPool:
     def test_single_node_graph_returns_state(self):
         state = np.array([[0.6, 0.8]])
-        out = pool(Tensor(state), [0], 1, renormalize=True)
+        out = pool(Tensor(state), [0], 1)
         np.testing.assert_allclose(out.data, state, atol=1e-15)
 
     def test_opposite_states_degenerate_to_zero_row(self):
         w = np.array([[0.6, 0.8]])
         states = Tensor(np.vstack([w, -w]))
         before = T.degenerate_norm_count()
-        out = pool(states, [0, 0], 1, renormalize=True)
+        out = pool(states, [0, 0], 1)
         np.testing.assert_allclose(out.data, [[0.0, 0.0]], atol=1e-15)
         assert T.degenerate_norm_count() == before + 1
 
@@ -181,17 +193,6 @@ class TestForwardInvariants:
         monkeypatch.setattr(T, "TapeNode", None)  # recording any node now raises TypeError
         np.testing.assert_array_equal(embed_graphs(model, graphs), expected)
         assert all(p.requires_grad for p in model.parameters().values())
-
-    def test_trivial_node_pooling_flag(self, tiny_vocab):
-        g = SceneGraph("x", (0, 1), ((0, 0, 1),))
-        with_trivial = GcnModel.create(SMALL, tiny_vocab, seed=3)
-        excl_config = ModelConfig(
-            label_dim=6, message_dim=5, out_dim=4, num_layers=2, mlp_hidden=7, pool_include_trivial=False
-        )
-        without_trivial = GcnModel.create(excl_config, tiny_vocab, seed=3)
-        a = forward(with_trivial, augmented([g], tiny_vocab), Mode.EVAL).data
-        b = forward(without_trivial, augmented([g], tiny_vocab), Mode.EVAL).data
-        assert not np.allclose(a, b), "pooling flag should change the embedding"
 
 
 class TestEndToEndGradients:

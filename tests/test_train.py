@@ -123,6 +123,17 @@ class TestTapeLifetime:
         assert leftover == 0
 
 
+def test_every_parameter_gets_a_gradient():
+    """Adam needs a gradient for every parameter: the model holds none that the loss does not reach."""
+    ds = tiny_dataset()
+    model = GcnModel.create(TINY_MODEL, ds.vocab, seed=0)
+    sampler = TripleSampler(ds.similarity, SamplerConfig(), candidates=ds.split.train)
+    augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in ds.split.train}
+    triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
+    backward(_batch_loss(model, augmented, triples, LossConfig()))
+    assert [name for name, p in model.parameters().items() if p.grad is None] == []
+
+
 class TestDeterminism:
     def test_same_seed_identical_runs(self):
         ds = tiny_dataset()
