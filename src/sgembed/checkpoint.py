@@ -33,10 +33,6 @@ class CheckpointHashMismatch(CheckpointError):
     """Checkpoint vocabulary does not match the dataset it is used with."""
 
 
-class CheckpointConfigMismatch(CheckpointError):
-    """Checkpoint model config differs from the requested one."""
-
-
 def _all_tensors(model: GcnModel) -> dict[str, np.ndarray]:
     arrays = {name: p.data for name, p in model.parameters().items()}
     arrays.update(model.buffers())
@@ -71,11 +67,7 @@ def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(
-    path,
-    expected_config: ModelConfig | None = None,
-    expected_vocab_hash: str | None = None,
-) -> tuple[GcnModel, dict]:
+def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -108,10 +100,6 @@ def load_checkpoint(
         )
 
     config = _model_config(path, header["model_config"])
-    if expected_config is not None and config != expected_config:
-        raise CheckpointConfigMismatch(
-            f"{path}: checkpoint config {asdict(config)} differs from requested {asdict(expected_config)}"
-        )
     objects, relationships = (_field(path, "vocab", header["vocab"], key, list) for key in ("objects", "relationships"))
     vocab = Vocabulary(tuple(objects), tuple(relationships))
     if vocab.content_hash() != header["vocab_hash"]:

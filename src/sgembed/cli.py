@@ -6,7 +6,7 @@ directory. Config files are flat JSON whose keys mirror the flag names;
 explicit flags win over file values.
 
 Exit codes: 0 ok; 2 usage error; 3 missing input file; 4 checkpoint
-hash/config mismatch; 5 malformed data or config; 6 runtime failure
+vocabulary-hash mismatch; 5 malformed data or config; 6 runtime failure
 (diverged training, exhausted sampler); 1 unexpected error.
 """
 
@@ -65,7 +65,7 @@ _EPILOG = """exit codes:
   0  success
   2  usage error (unknown flag or bad value)
   3  a referenced input file or directory is missing
-  4  checkpoint vocabulary-hash or config mismatch
+  4  checkpoint vocabulary-hash mismatch
   5  malformed dataset, config or checkpoint contents
   6  runtime failure (exhausted sampler, diverged training)
   1  unexpected internal error
@@ -196,7 +196,7 @@ def _cmd_train(args) -> int:
     out = _out_dir(args)
     values = _merged(_load_config_file(args.config), args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
     config = _train_config_from(values)
-    split_seed = _cast("split_seed", int, values.get("split_seed", DEFAULT_SPLIT_SEED))
+    split_seed = _split_seed(values.get("split_seed", DEFAULT_SPLIT_SEED))
     dataset = _load_data(args.data)
     dataset = dataset.with_split(split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed))
     _write_resolved_config(out, {"command": "train", "split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
@@ -207,19 +207,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _split_seed(value) -> int:
+    """A --split-seed value, from the flag or a config file, as a non-negative int."""
+    seed = _cast("split_seed", int, value)
+    if seed < 0:
+        raise ValueError(f"--split-seed {seed} is not a non-negative integer")
+    return seed
+
+
 def _checkpoint_and_split(args, dataset: Dataset):
     model, extra = load_checkpoint(args.checkpoint, expected_vocab_hash=dataset.vocab.content_hash())
     seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
     if type(seed) is not int or seed < 0:
         raise CheckpointError(f"{args.checkpoint}: malformed 'split_seed': {seed!r} is not a non-negative integer")
-    if args.split_seed is not None and args.split_seed < 0:
-        raise ValueError(f"--split-seed {args.split_seed} is not a non-negative integer")
+    if args.split_seed is not None:
+        seed = _split_seed(args.split_seed)
     ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
     try:
         check_split_ratios(ratios)
     except ValueError as e:
         raise CheckpointError(f"{args.checkpoint}: malformed 'split_ratios': {e}") from None
-    return model, split_dataset(dataset, tuple(ratios), seed if args.split_seed is None else args.split_seed)
+    return model, split_dataset(dataset, tuple(ratios), seed)
 
 
 def _cmd_eval(args) -> int:

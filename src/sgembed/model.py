@@ -231,16 +231,9 @@ def layer_forward(
     msg_to_tgt = T.add(T.matmul(hidden, layer.head_t_w), layer.head_t_b)
     new_edge_states = None if layer.head_e_w is None else T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b)
 
+    # Augmentation gives every node an incident edge, so no segment is empty.
     messages = T.concat([msg_to_src, msg_to_tgt], axis=0)
     segment_ids = np.concatenate([batch.edge_src, batch.edge_tgt])
-    counts = np.bincount(segment_ids, minlength=batch.num_nodes)
-    silent = np.flatnonzero(counts == 0)
-    if silent.size:
-        # A node with no incident edges keeps a zero pooled vector; pad each
-        # empty segment with a single constant zero message so the mean is 0.
-        pad = Tensor(np.zeros((silent.size, messages.shape[1])))
-        messages = T.concat([messages, pad], axis=0)
-        segment_ids = np.concatenate([segment_ids, silent])
     pooled = T.segment_mean(messages, segment_ids, batch.num_nodes)
 
     pre = T.relu(

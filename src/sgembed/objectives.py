@@ -151,8 +151,8 @@ class TripleSampler:
     images (e.g. the train split); the anchor itself is always excluded.
     """
 
-    def __init__(self, similarity: SimilarityMatrix | np.ndarray, config: SamplerConfig, candidates=None):
-        self._values = similarity.values if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity)
+    def __init__(self, similarity: SimilarityMatrix, config: SamplerConfig, candidates=None):
+        self._values = similarity.values
         self._config = config
         self._rng = np.random.default_rng(config.rng_seed)
         n = self._values.shape[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -15,30 +16,21 @@ class MissingGradientError(ValueError):
 
 @dataclass
 class AdamState:
-    """Step counter and per-parameter moment buffers, keyed by parameter name."""
+    """Step counter and per-parameter moment buffers, keyed by parameter name; the betas and
+    epsilon are shared constants."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def create(
-        cls,
-        params: dict[str, Tensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
+    def create(cls, params: dict[str, Tensor], learning_rate: float = 1e-3) -> "AdamState":
         return cls(
             learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
             first_moment={name: np.zeros_like(p.data) for name, p in params.items()},
             second_moment={name: np.zeros_like(p.data) for name, p in params.items()},
         )

@@ -281,10 +281,6 @@ def load_dataset(graphs_path, similarity_path, vocab_path) -> Dataset:
     vocab = load_vocabulary(vocab_path)
     graphs = load_graphs(graphs_path, vocab)
     sim = load_similarity(similarity_path)
-    if len(graphs) != len(sim.image_ids):
-        raise DimensionMismatchError(
-            f"{len(graphs)} graphs but similarity covers {len(sim.image_ids)} images"
-        )
     return Dataset(graphs, sim, vocab)
 
 
@@ -302,9 +298,13 @@ def save_dataset(dataset: Dataset, graphs_path, similarity_path, vocab_path) -> 
 def augment_trivial(g: SceneGraph, vocab: Vocabulary) -> SceneGraph:
     """Add the trivial image node plus one trivial edge from every original node.
 
-    The result is weakly connected. Augmenting an already-augmented graph
-    raises, which keeps the operation safely non-idempotent.
+    The result is weakly connected, so every node has an incident edge. A
+    graph with no nodes raises, since its image node would have none.
+    Augmenting an already-augmented graph raises, which keeps the operation
+    safely non-idempotent.
     """
+    if not g.nodes:
+        raise ValueError(f"{g.image_id}: graph has no nodes")
     if TRIVIAL_NODE_LABEL not in vocab.object_labels or TRIVIAL_EDGE_LABEL not in vocab.relationship_labels:
         raise ReservedLabelError("vocabulary lacks the reserved trivial labels")
     node_label = vocab.object_index(TRIVIAL_NODE_LABEL)

@@ -1,5 +1,9 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
+Its public functions, other than ``backward`` and the degenerate-norm
+counter's two accessors, are exactly the ops the pipeline runs, and the
+benchmark's tracer times each of them.
+
 Data is always a C-contiguous float64 ndarray. Operations record tape
 nodes only when some input requires gradients, so frozen-model inference
 pays no bookkeeping cost. The recorded graph is rebuilt on every forward
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,14 +42,10 @@ class EmptySegmentError(ValueError):
     """segment_mean was asked to average a segment with no members."""
 
 
-class DomainError(ValueError):
-    """A value outside the op's mathematical domain (e.g. log of x <= 0)."""
-
-
 NORM_FLOOR = 1e-8
 
 # Rows hitting the degenerate-norm rule in rowwise_l2_normalize are counted
-# here so callers can detect silently-passed-through rows.
+# here so callers can detect rows that passed through unnormalized.
 _degenerate_norm_count = 0
 
 
@@ -202,17 +203,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a_data * b_data, (a, b), lambda g: (g * b_data, g * a_data), "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"div expects equal shapes, got {a.shape} / {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def back(g):
-        return g / b_data, -g * a_data / (b_data * b_data)
-
-    return _result(a_data / b_data, (a, b), back, "div")
-
-
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _result(a.data * c, (a,), lambda g: (g * c,), "mul_scalar")
@@ -246,30 +236,12 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _result(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
-
-
 def logsigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)), computed without overflow for large |x|."""
     x = a.data
     out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
     sig_neg = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))), 1.0 / (1.0 + np.exp(-np.abs(x))))
     return _result(out, (a,), lambda g: (g * sig_neg,), "logsigmoid")
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    a_data = a.data
-    return _result(np.log(a_data), (a,), lambda g: (g / a_data,), "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,), "exp")
 
 
 def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - deliberate, mirrors numpy's sum
@@ -280,15 +252,6 @@ def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - deliberat
     if axis != 1 or a.data.ndim != 2:
         raise ShapeError(f"sum supports axis=None or axis=1 of a 2-d tensor, got axis={axis} for shape {shape}")
     return _result(a.data.sum(axis=1), (a,), lambda g: (np.broadcast_to(g[:, None], shape).copy(),), "sum")
-
-
-def mean(a: Tensor) -> Tensor:
-    if a.data.size == 0:
-        raise ShapeError("mean of an empty tensor is undefined")
-    size, shape = a.data.size, a.shape
-    return _result(
-        np.asarray(a.data.mean()), (a,), lambda g: (np.broadcast_to(g / size, shape).copy(),), "mean"
-    )
 
 
 def rowwise_l2_normalize(a: Tensor) -> Tensor:
@@ -361,12 +324,12 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 @dataclass
 class BatchNormState:
-    """Running statistics and hyperparameters for one batchnorm instance."""
+    """Running statistics of one batchnorm instance; its hyperparameters are shared constants."""
 
+    momentum: ClassVar[float] = 0.1
+    eps: ClassVar[float] = 1e-5
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
     def create(cls, num_features: int) -> "BatchNormState":

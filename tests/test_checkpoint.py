@@ -7,7 +7,6 @@ import pytest
 
 from sgembed.checkpoint import (
     MAGIC,
-    CheckpointConfigMismatch,
     CheckpointError,
     CheckpointHashMismatch,
     load_checkpoint,
@@ -54,14 +53,6 @@ def test_garbage_file_detected(tmp_path):
         load_checkpoint(path)
 
 
-def test_config_mismatch_refused(model, tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
-    big = ModelConfig(label_dim=300, message_dim=512, out_dim=300, num_layers=5, mlp_hidden=512)
-    with pytest.raises(CheckpointConfigMismatch):
-        load_checkpoint(path, expected_config=big)
-
-
 def test_vocab_hash_mismatch_refused(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
@@ -73,9 +64,7 @@ def test_vocab_hash_mismatch_refused(model, tmp_path):
 def test_matching_expectations_accepted(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    loaded, _ = load_checkpoint(
-        path, expected_config=SMALL, expected_vocab_hash=model.vocab.content_hash()
-    )
+    loaded, _ = load_checkpoint(path, expected_vocab_hash=model.vocab.content_hash())
     assert models_equal(model, loaded)
 
 
@@ -196,7 +185,7 @@ def _write_v1(model, path, **knobs):
 def test_version_1_file_loads_as_version_2(model, tmp_path, tiny_vocab):
     v1 = tmp_path / "v1.ckpt"
     _write_v1(model, v1)
-    loaded, _ = load_checkpoint(v1, expected_config=SMALL)
+    loaded, _ = load_checkpoint(v1)
     assert models_equal(model, loaded)
     graphs = [augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab)]
     np.testing.assert_array_equal(embed_graphs(loaded, graphs), embed_graphs(model, graphs))

@@ -234,10 +234,11 @@ class TestExitCodes:
         assert last.startswith("ValueError:") and "--seeds" in last
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", [["eval"], ["retrieve", "--noise", "1"], ["sweep"]])
+    @pytest.mark.parametrize("command", [["eval"], ["retrieve", "--noise", "1"], ["sweep"], ["train"]])
     def test_negative_split_seed_names_the_flag(self, pipeline, tmp_path, capsys, command):
         out = tmp_path / "out"
-        args = [*command, "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--split-seed", "-1"]
+        checkpoint = [] if command == ["train"] else ["--checkpoint", pipeline["ckpt"]]
+        args = [*command, "--data", pipeline["data"], *checkpoint, "--split-seed", "-1"]
         assert main([*args, "--out", str(out)]) == EXIT_BAD_DATA
         assert capsys.readouterr().err.splitlines()[-1] == "ValueError: --split-seed -1 is not a non-negative integer"
         assert not out.exists() or not os.listdir(out)

@@ -19,7 +19,7 @@ from sgembed.model import (
     pool,
 )
 from sgembed.scene import SceneGraph, augment_trivial
-from sgembed.tensor import IndexRangeError, Mode, Tensor
+from sgembed.tensor import EmptySegmentError, IndexRangeError, Mode, Tensor
 
 SMALL = ModelConfig(label_dim=6, message_dim=5, out_dim=4, num_layers=2, mlp_hidden=7)
 
@@ -119,6 +119,13 @@ class TestLayerForward:
         nodes, edges = self._states(model, batch)
         new_nodes, _ = layer_forward(model.layers[0], nodes, edges, batch, Mode.EVAL)
         np.testing.assert_allclose(np.linalg.norm(new_nodes.data, axis=1), 1.0, atol=1e-12)
+
+    def test_isolated_node_rejected(self, model):
+        # Node 2 has no incident edge, so it receives no message to average.
+        batch = BatchedGraph.from_graphs([SceneGraph("x", (0, 1, 2), ((0, 0, 1),))])
+        nodes, edges = self._states(model, batch)
+        with pytest.raises(EmptySegmentError, match=r"\[2\]"):
+            layer_forward(model.layers[0], nodes, edges, batch, Mode.EVAL)
 
 
 class TestPool:

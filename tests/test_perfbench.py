@@ -1,9 +1,11 @@
 """The benchmark's tracer against the current package: every name it wraps
-exists, is wrapped on install and is restored on uninstall, and its tape
-node subclass records a training step."""
+exists, is wrapped on install and is restored on uninstall, it times
+exactly the tensor module's ops, and its tape node subclass records a
+training step."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 from sgembed.model import GcnModel, ModelConfig
@@ -35,6 +37,18 @@ def test_tracer_wraps_and_restores_every_name():
     restored = [vars(owner)[attr] for owner, attr in targets]
     assert all(new is not old for new, old in zip(installed, originals))
     assert all(now is old for now, old in zip(restored, originals))
+
+
+def test_tracer_times_every_tensor_op():
+    # An op the tracer does not time, or a timed op the package lacks, fails here.
+    tensor = importlib.import_module("sgembed.tensor")
+    not_ops = {"backward", "degenerate_norm_count", "reset_degenerate_norm_count"}
+    ops = {
+        name
+        for name, fn in vars(tensor).items()
+        if inspect.isfunction(fn) and fn.__module__ == tensor.__name__ and not name.startswith("_")
+    }
+    assert ops - not_ops == set(_load_tracer().TENSOR_OPS)
 
 
 def test_tracer_counts_tape_nodes_of_a_training_step():

@@ -110,6 +110,11 @@ class TestAugment:
         with pytest.raises(ReservedLabelError):
             augment_trivial(g, tiny_vocab)
 
+    def test_empty_graph_rejected(self, tiny_vocab):
+        # Its image node would have no incident edge.
+        with pytest.raises(ValueError, match="^x: graph has no nodes$"):
+            augment_trivial(SceneGraph("x", (), ()), tiny_vocab)
+
     def test_missing_reserved_labels(self):
         vocab = Vocabulary(("cat",), ("on",))
         with pytest.raises(ReservedLabelError):
