@@ -231,9 +231,13 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # Subgradient at 0 is 0 (the kink counts as inactive).
-    mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
+    # Subgradient at 0 is 0 (the kink counts as inactive). fmax maps NaN to
+    # 0 and adding 0.0 turns a -0.0 result into 0.0, so the output equals
+    # np.where(x > 0, x, 0.0) bit for bit without a per-element branch.
+    x = a.data
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return _result(out, (a,), lambda g: (g * (x > 0),), "relu")
 
 
 def logsigmoid(a: Tensor) -> Tensor:
@@ -276,11 +280,23 @@ def rowwise_l2_normalize(a: Tensor) -> Tensor:
         dots = (out * g).sum(axis=1, keepdims=True)
         gx = (g - out * dots) / safe[:, None]
         if n_deg:
-            gx = gx.copy()
             gx[degenerate] = g[degenerate]
         return (gx,)
 
     return _result(out, (a,), back, "rowwise_l2_normalize")
+
+
+def _scatter_add(rows: np.ndarray, ids: np.ndarray, num_out: int) -> np.ndarray:
+    """(num_out, f) sums of the (len(ids), f) rows by output row ``ids``.
+
+    One flat bincount adds the rows in row order, as ``np.add.at`` into
+    zeros does, so the sums are bit-identical to it. With no ids bincount
+    returns integer zeros, hence the cast.
+    """
+    f = rows.shape[1]
+    flat = (ids[:, None] * f + np.arange(f)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=num_out * f)
+    return sums.astype(np.float64, copy=False).reshape(num_out, f)
 
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -296,12 +312,10 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise EmptySegmentError(f"segments with no members: {empty.tolist()}")
-    totals = np.zeros((num_segments, values.shape[1]))
-    np.add.at(totals, ids, values.data)
-    out = totals / counts[:, None]
+    out = _scatter_add(values.data, ids, num_segments) / counts[:, None]
 
     def back(g):
-        return (g[ids] / counts[ids][:, None],)
+        return ((g / counts[:, None])[ids],)
 
     return _result(out, (values,), back, "segment_mean")
 
@@ -315,9 +329,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     n_rows = table.shape[0]
 
     def back(g):
-        gt = np.zeros((n_rows, g.shape[1]))
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (_scatter_add(g, idx, n_rows),)
 
     return _result(table.data[idx], (table,), back, "gather_rows")
 
@@ -351,10 +363,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     if mode is Mode.TRAIN:
         if x.shape[0] == 0:
             raise ShapeError("batchnorm in TRAIN mode requires at least one row")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
+        # The same sums and divisions as x.mean(0) and x.var(0), without
+        # var computing the mean and the centered rows a second time.
+        n = x.shape[0]
+        mu = x.data.sum(axis=0) / n
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu) * inv_std
+        xhat = centered * inv_std
         m = state.momentum
         state.running_mean[:] = (1.0 - m) * state.running_mean + m * mu
         state.running_var[:] = (1.0 - m) * state.running_var + m * var
@@ -363,7 +379,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
         def back(g):
             dgamma = (g * xhat).sum(axis=0)
             dbeta = g.sum(axis=0)
-            dx = gamma_data * inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0))
+            dx = gamma_data * inv_std * (g - dbeta / n - xhat * (dgamma / n))
             return dx, dgamma, dbeta
 
     else:

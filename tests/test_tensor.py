@@ -277,3 +277,104 @@ class TestBatchNormModes:
         out = T.batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState.create(2), Mode.TRAIN)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=0), 1.0, atol=1e-3)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _add_at_reference(rows, ids, num_out):
+    """Row sums by ``np.add.at``, the scatter the kernels must reproduce bit for bit."""
+    totals = np.zeros((num_out, rows.shape[1]))
+    np.add.at(totals, ids, rows)
+    return totals
+
+
+def _wide_values(rng, n, f):
+    # Magnitudes spread over 16 decades, so any change in summation order shows.
+    return rng.normal(size=(n, f)) * 10.0 ** rng.uniform(-8, 8, size=(n, f))
+
+
+def _column_slice(rng, n, f):
+    """A non-contiguous (n, f) upstream gradient, as concat's np.split gives it."""
+    wide = _wide_values(rng, n, f + 3)
+    g = np.split(wide, [f], axis=1)[0]
+    assert n < 2 or not g.flags.c_contiguous
+    return g
+
+
+# (ids, number of output rows, feature width); every output row is hit.
+_SEGMENT_CASES = {
+    "duplicate_heavy": (np.random.default_rng(0).permutation(np.arange(600) % 4), 4, 5),
+    "empty": (np.zeros(0, dtype=np.int64), 0, 3),
+    "single_row": (np.array([0]), 1, 4),
+    "width_one": (np.random.default_rng(1).permutation(np.arange(50) % 7), 7, 1),
+}
+# (indices, table rows, feature width): the cases above, plus tables with
+# rows that no index hits.
+_GATHER_CASES = {
+    **_SEGMENT_CASES,
+    "unhit_rows": (np.random.default_rng(2).choice([0, 3, 3, 8], size=40), 11, 3),
+    "empty": (np.zeros(0, dtype=np.int64), 4, 3),
+    "single_row": (np.array([2]), 5, 4),
+}
+
+
+class TestBitIdenticalKernels:
+    """The fast kernels reproduce the reference formulas byte for byte."""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("case", sorted(_SEGMENT_CASES))
+    def test_segment_mean_matches_add_at(self, case, contiguous):
+        ids, num_out, f = _SEGMENT_CASES[case]
+        rng = np.random.default_rng(3)
+        values = _wide_values(rng, ids.size, f)
+        out = T.segment_mean(t(values), ids, num_out)
+        counts = np.bincount(ids, minlength=num_out).astype(np.float64)
+        assert _same_bytes(out.data, _add_at_reference(values, ids, num_out) / counts[:, None])
+        g = _wide_values(rng, num_out, f) if contiguous else _column_slice(rng, num_out, f)
+        (gv,) = out.node.backward_fn(g)
+        assert _same_bytes(gv, g[ids] / counts[ids][:, None])
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("case", sorted(_GATHER_CASES))
+    def test_gather_rows_backward_matches_add_at(self, case, contiguous):
+        idx, n_rows, f = _GATHER_CASES[case]
+        rng = np.random.default_rng(4)
+        out = T.gather_rows(t(_wide_values(rng, n_rows, f)), idx)
+        g = _wide_values(rng, idx.size, f) if contiguous else _column_slice(rng, idx.size, f)
+        (gt,) = out.node.backward_fn(g)
+        assert _same_bytes(gt, _add_at_reference(g, idx, n_rows))
+
+    @pytest.mark.parametrize("shape", ["row", "column"])
+    @pytest.mark.parametrize("n", range(1, 70))
+    def test_relu_matches_where(self, n, shape):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = np.array([0.0, np.nan, np.inf, tiny, 1e-310, 1.0])
+        specials = np.concatenate([specials, -specials])
+        x = np.random.default_rng(n).choice(specials, size=n)
+        x = x[None, :] if shape == "row" else x[:, None]
+        assert _same_bytes(T.relu(t(x)).data, np.where(x > 0, x, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1600])
+    def test_train_batchnorm_matches_mean_var_formulas(self, n):
+        rng = np.random.default_rng(n)
+        f = 64
+        x = rng.normal(loc=3.0, scale=2.0, size=(n, f))
+        gamma, beta = rng.uniform(0.5, 1.5, size=f), rng.normal(size=f)
+        running_mean, running_var = rng.normal(size=f), rng.uniform(0.5, 2.0, size=f)
+        g = rng.normal(size=(n, f))
+        state = BatchNormState(running_mean.copy(), running_var.copy())
+        out = T.batchnorm(t(x), t(gamma), t(beta), state, Mode.TRAIN)
+        dx, dgamma, dbeta = out.node.backward_fn(g)
+
+        eps, m = BatchNormState.eps, BatchNormState.momentum
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv_std
+        assert _same_bytes(out.data, gamma * xhat + beta)
+        assert _same_bytes(state.running_mean, (1.0 - m) * running_mean + m * mu)
+        assert _same_bytes(state.running_var, (1.0 - m) * running_var + m * var)
+        assert _same_bytes(dgamma, (g * xhat).sum(axis=0))
+        assert _same_bytes(dbeta, g.sum(axis=0))
+        assert _same_bytes(dx, gamma * inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0)))
