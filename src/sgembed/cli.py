@@ -3,11 +3,7 @@
 Every subcommand writes its outputs (plus a resolved_config.json provenance
 dump) into --out, which defaults to $SGEMBED_OUT_DIR or the current
 directory. Config files are flat JSON whose keys mirror the flag names;
-explicit flags win over file values.
-
-Exit codes: 0 ok; 2 usage error; 3 missing input file; 4 checkpoint
-vocabulary-hash mismatch; 5 malformed data or config; 6 runtime failure
-(diverged training, exhausted sampler); 1 unexpected error.
+explicit flags win over file values. ``sgembed --help`` lists the exit codes.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from .objectives import (
     LOSS_KINDS,
     SAMPLER_KINDS,
 )
-from .scene import Dataset, DatasetFormatError, check_split_ratios, load_dataset, save_dataset, split_dataset
+from .scene import Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, save_dataset, split_dataset
 from .synth import SynthConfig, dataset_stats, generate, write_stats
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -61,15 +57,22 @@ VOCAB_FILE = "vocabulary.json"
 DEFAULT_SPLIT_RATIOS = (0.7, 0.2, 0.1)
 DEFAULT_SPLIT_SEED = 0
 
-_EPILOG = """exit codes:
-  0  success
-  2  usage error (unknown flag or bad value)
-  3  a referenced input file or directory is missing
-  4  checkpoint vocabulary-hash mismatch
-  5  malformed dataset, config or checkpoint contents
-  6  runtime failure (exhausted sampler, diverged training)
-  1  unexpected internal error
-"""
+# code -> (meaning, exception classes), in the order main matches them: 4 and 6
+# come before 5 because CheckpointHashMismatch and DegenerateDistributionError are ValueErrors.
+_EXIT_CODES = {
+    0: ("success", ()),
+    EXIT_USAGE: ("usage error (unknown flag or bad value)", ()),
+    EXIT_MISSING_FILE: ("a referenced input file or directory is missing", (FileNotFoundError,)),
+    EXIT_HASH_MISMATCH: ("checkpoint vocabulary-hash mismatch", (CheckpointHashMismatch,)),
+    EXIT_RUNTIME: (
+        "runtime failure (exhausted sampler, diverged training)",
+        (SamplerExhaustedError, DegenerateDistributionError, TrainingDivergedError),
+    ),
+    EXIT_BAD_DATA: ("malformed dataset, config or checkpoint contents", (DatasetFormatError, CheckpointError, ValueError)),
+    1: ("unexpected internal error", (Exception,)),
+}
+
+_EPILOG = "exit codes:\n" + "".join(f"  {code}  {meaning}\n" for code, (meaning, _) in _EXIT_CODES.items())
 
 
 def _out_dir(args) -> str:
@@ -101,9 +104,10 @@ def _merged(file_values: dict, args, keys) -> dict:
     return merged
 
 
-def _write_resolved_config(out: str, resolved: dict) -> None:
+def _write_resolved_config(args, out: str, values: dict) -> None:
+    """resolved_config.json: the subcommand's name and ``values``, keys sorted."""
     with open(os.path.join(out, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
+        json.dump({"command": args.command, **values}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -127,6 +131,10 @@ def _load_data(data_dir: str) -> Dataset:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _flag_types(cls) -> dict[str, type]:
     """Name -> type of the int and float fields of a config dataclass, in field order."""
     hints = typing.get_type_hints(cls)
@@ -142,6 +150,17 @@ def _cast(key: str, typ: type, value):
         except (TypeError, ValueError):
             pass
     raise ValueError(f"config field {key!r} must be {typ.__name__}, got {value!r}")
+
+
+def _non_negative(key: str, value) -> int:
+    """A seed or noise level from a flag, a list item or a config file; ValueError naming both unless an int >= 0."""
+    try:
+        n = _cast(key, int, value)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"{_flag(key)} {value} is not a non-negative integer")
 
 
 def _config(cls, values: dict, **fields):
@@ -171,15 +190,16 @@ _TRAIN_FLAGS = {
 
 
 def _cmd_gen_data(args) -> int:
-    out = _out_dir(args)
     values = _merged(_load_config_file(args.config), args, _SYNTH_FLAGS)
     config = _config(SynthConfig, values)
+    _non_negative("seed", config.seed)
+    out = _out_dir(args)
     dataset = generate(config)
     graphs_path, sim_path, vocab_path = _dataset_paths(out)
     save_dataset(dataset, graphs_path, sim_path, vocab_path)
     stats = dataset_stats(dataset)
     write_stats(stats, os.path.join(out, "stats.json"))
-    _write_resolved_config(out, {"command": "gen-data", **values})
+    _write_resolved_config(args, out, values)
     print(f"wrote {len(dataset.graphs)} graphs to {out} (median edges: {stats['median_edges']})")
     return 0
 
@@ -193,13 +213,14 @@ def _train_config_from(values: dict) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    out = _out_dir(args)
     values = _merged(_load_config_file(args.config), args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
     config = _train_config_from(values)
-    split_seed = _split_seed(values.get("split_seed", DEFAULT_SPLIT_SEED))
+    _non_negative("seed", config.seed)
+    split_seed = _non_negative("split_seed", values.get("split_seed", DEFAULT_SPLIT_SEED))
     dataset = _load_data(args.data)
     dataset = dataset.with_split(split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed))
-    _write_resolved_config(out, {"command": "train", "split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
+    out = _out_dir(args)
+    _write_resolved_config(args, out, {"split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
     extra = {"split_seed": split_seed, "split_ratios": list(DEFAULT_SPLIT_RATIOS)}
     _, entries = train(dataset, config, out_dir=out, extra=extra)
     final = entries[-1].mean_loss if entries else float("nan")
@@ -207,108 +228,87 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _split_seed(value) -> int:
-    """A --split-seed value, from the flag or a config file, as a non-negative int."""
-    seed = _cast("split_seed", int, value)
-    if seed < 0:
-        raise ValueError(f"--split-seed {seed} is not a non-negative integer")
-    return seed
+def _checkpoint_inputs(args):
+    """The dataset, the checkpoint's model, the indices of --split and the output directory.
 
-
-def _checkpoint_and_split(args, dataset: Dataset):
+    The split is the checkpoint's own, with its seed replaced by --split-seed
+    when given. The output directory is created only after every check passed.
+    """
+    dataset = _load_data(args.data)
     model, extra = load_checkpoint(args.checkpoint, expected_vocab_hash=dataset.vocab.content_hash())
     seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
     if type(seed) is not int or seed < 0:
         raise CheckpointError(f"{args.checkpoint}: malformed 'split_seed': {seed!r} is not a non-negative integer")
     if args.split_seed is not None:
-        seed = _split_seed(args.split_seed)
+        seed = _non_negative("split_seed", args.split_seed)
     ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
     try:
         check_split_ratios(ratios)
     except ValueError as e:
         raise CheckpointError(f"{args.checkpoint}: malformed 'split_ratios': {e}") from None
-    return model, split_dataset(dataset, tuple(ratios), seed)
+    indices = split_dataset(dataset, tuple(ratios), seed).indices(args.split)
+    return dataset, model, indices, _out_dir(args)
+
+
+def _write_checkpoint_provenance(args, out: str, **values) -> None:
+    """resolved_config.json of a checkpoint command: ``values``, the split and the absolute checkpoint path."""
+    _write_resolved_config(args, out, {"split": args.split, "checkpoint": os.path.abspath(args.checkpoint), **values})
 
 
 def _cmd_eval(args) -> int:
-    dataset = _load_data(args.data)
-    model, split = _checkpoint_and_split(args, dataset)
-    indices = split.indices(args.split)
-    out = _out_dir(args)
+    seed = _non_negative("seed", args.seed)
+    dataset, model, indices, out = _checkpoint_inputs(args)
     report = evaluate(model, dataset, indices)
     baseline = evaluate_embeddings(
-        random_unit_embeddings(len(indices), model.config.out_dim, args.seed),
+        random_unit_embeddings(len(indices), model.config.out_dim, seed),
         dataset.similarity.values[np.ix_(list(indices), list(indices))],
     )
     reports = {"model": report, "normal_features": baseline}
     write_eval_report_json(reports, os.path.join(out, "eval_report.json"))
     write_eval_report_csv(reports, os.path.join(out, "eval_report.csv"))
-    _write_resolved_config(
-        out,
-        {"command": "eval", "split": args.split, "seed": args.seed, "checkpoint": os.path.abspath(args.checkpoint)},
-    )
+    _write_checkpoint_provenance(args, out, seed=seed)
     tau = report.row_wise["kendall_tau"]
     print(f"eval[{args.split}] row-wise kendall_tau: {'n/a' if tau is None else '%.4f' % tau}")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    dataset = _load_data(args.data)
-    model, split = _checkpoint_and_split(args, dataset)
-    indices = split.indices(args.split)
-    out = _out_dir(args)
-    report = retrieval_experiment(model, dataset, indices, args.noise, args.seed)
+    noise = _non_negative("noise", args.noise)
+    seed = _non_negative("seed", args.seed)
+    dataset, model, indices, out = _checkpoint_inputs(args)
+    report = retrieval_experiment(model, dataset, indices, noise, seed)
     write_retrieval_csv([report], os.path.join(out, "retrieval.csv"))
     write_recall_curve_csv(report, os.path.join(out, "recall_curve.csv"))
     if args.per_query_ranks:
         image_ids = [dataset.similarity.image_ids[i] for i in indices]
         write_ranks_csv(report, image_ids, os.path.join(out, "ranks.csv"))
-    _write_resolved_config(
-        out,
-        {
-            "command": "retrieve",
-            "split": args.split,
-            "noise": args.noise,
-            "seed": args.seed,
-            "checkpoint": os.path.abspath(args.checkpoint),
-        },
-    )
-    print(f"retrieval at noise {args.noise}: mrr={report.mrr:.4f} r@1={report.recall_at[1]:.4f}")
+    _write_checkpoint_provenance(args, out, noise=noise, seed=seed)
+    print(f"retrieval at noise {noise}: mrr={report.mrr:.4f} r@1={report.recall_at[1]:.4f}")
     return 0
 
 
 def _parse_noise_list(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok]
+        lo, hi = (_non_negative("noise_list", tok) for tok in spec.split("..", 1))
+        return list(range(lo, hi + 1))
+    return [_non_negative("noise_list", tok) for tok in spec.split(",") if tok]
 
 
 def _cmd_sweep(args) -> int:
-    dataset = _load_data(args.data)
-    model, split = _checkpoint_and_split(args, dataset)
-    indices = split.indices(args.split)
-    out = _out_dir(args)
     m_list = _parse_noise_list(args.noise_list)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    if not m_list:
+        raise ValueError(f"--noise-list {args.noise_list!r} names no noise level")
+    seeds = [_non_negative("seeds", s) for s in args.seeds.split(",") if s]
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no retrieval seed")
+    dataset, model, indices, out = _checkpoint_inputs(args)
     rows = []
     for seed in seeds:
         for report in noise_sweep(model, dataset, indices, m_list, seed):
             rows.append((seed, report))
     write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
-    _write_resolved_config(
-        out,
-        {
-            "command": "sweep",
-            "split": args.split,
-            "noise_list": m_list,
-            "seeds": seeds,
-            "checkpoint": os.path.abspath(args.checkpoint),
-        },
-    )
+    _write_checkpoint_provenance(args, out, noise_list=m_list, seeds=seeds)
     print(f"swept {len(m_list)} noise levels x {len(seeds)} seeds into {out}/sweep.csv")
     return 0
 
@@ -337,85 +337,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary, epilog=_EPILOG)
         p.add_argument("--out", help="output directory (default: $SGEMBED_OUT_DIR or '.')")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset", epilog=_EPILOG)
+    def checkpoint_command(name, fn, summary):
+        """A command that runs a checkpoint on one split of a dataset."""
+        p = command(name, fn, summary)
+        p.add_argument("--data", required=True)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--split", choices=[f.name for f in dataclasses.fields(Split)], default="test")
+        p.add_argument("--split-seed", dest="split_seed", type=int, help="override the checkpoint's split seed")
+        return p
+
+    def overrides(p, flags):
+        for key, typ in flags.items():
+            p.add_argument(_flag(key), dest=key, type=typ, help=f"override {key}")
+
+    p = command("gen-data", _cmd_gen_data, "generate a synthetic dataset")
     p.add_argument("--config", help="flat JSON config file with generator fields")
-    for key, typ in _SYNTH_FLAGS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=f"override {key}")
-    add_out(p)
-    p.set_defaults(fn=_cmd_gen_data)
+    overrides(p, _SYNTH_FLAGS)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory", epilog=_EPILOG)
+    p = command("train", _cmd_train, "train a model on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory (graphs/similarity/vocabulary)")
     p.add_argument("--config", help="flat JSON config file with training fields")
-    for key, typ in _TRAIN_FLAGS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=f"override {key}")
+    overrides(p, _TRAIN_FLAGS)
     for key, (what, cls, kinds) in _KIND_FLAGS.items():
         p.add_argument(f"--{key}", choices=kinds, help=f"{what} (default {cls().kind})")
-    add_out(p)
-    p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="rank-correlation evaluation of a checkpoint", epilog=_EPILOG)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p = checkpoint_command("eval", _cmd_eval, "rank-correlation evaluation of a checkpoint")
     p.add_argument("--seed", type=int, default=0, help="seed for the random-feature baseline")
-    p.add_argument("--split-seed", dest="split_seed", type=int, help="override the checkpoint's split seed")
-    add_out(p)
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("retrieve", help="noisy-query retrieval experiment", epilog=_EPILOG)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p = checkpoint_command("retrieve", _cmd_retrieve, "noisy-query retrieval experiment")
     p.add_argument("--noise", type=int, required=True, help="number of edges to remove per query")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--per-query-ranks", action="store_true", help="also write ranks.csv")
-    add_out(p)
-    p.set_defaults(fn=_cmd_retrieve)
 
-    p = sub.add_parser("sweep", help="retrieval metrics over a range of noise levels", epilog=_EPILOG)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p = checkpoint_command("sweep", _cmd_sweep, "retrieval metrics over a range of noise levels")
     p.add_argument("--noise-list", default="1..20", help="e.g. '1..20' or '0,2,12'")
     p.add_argument("--seeds", default="0", help="comma-separated retrieval seeds")
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    add_out(p)
-    p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("stats", help="dataset summary statistics", epilog=_EPILOG)
+    p = command("stats", _cmd_stats, "dataset summary statistics")
     p.add_argument("--data", required=True)
-    add_out(p)
-    p.set_defaults(fn=_cmd_stats)
 
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"FileNotFoundError: {e}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except (CheckpointHashMismatch,) as e:
+    except Exception as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_HASH_MISMATCH
-    except (SamplerExhaustedError, DegenerateDistributionError, TrainingDivergedError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (DatasetFormatError, CheckpointError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_BAD_DATA
-    except Exception as e:  # pragma: no cover - safety net
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return next(code for code, (_, kinds) in _EXIT_CODES.items() if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ File formats:
   graphs     JSON Lines, one image per line:
              {"image_id": ..., "objects": [{"label": ...}, ...],
               "relationships": [{"subject": i, "predicate": ..., "object": j}, ...]}
-  vocabulary JSON {"objects": [...], "relationships": [...]};
-             the reserved labels are appended on load when absent.
+             where i and j are integral node indices (not booleans).
+  vocabulary JSON {"objects": [...], "relationships": [...]}, two lists of
+             strings; the reserved labels are appended on load when absent.
   similarity CSV; first row lists the image ids in dataset order, then an
              NxN block of floats formatted "%.6f".
 """
@@ -18,7 +19,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -144,10 +146,9 @@ class Split:
     test: tuple[int, ...]
 
     def indices(self, name: str) -> tuple[int, ...]:
-        try:
-            return {"train": self.train, "val": self.val, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split name {name!r}") from None
+        if name not in {f.name for f in fields(self)}:
+            raise ValueError(f"unknown split name {name!r}")
+        return getattr(self, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +184,9 @@ def load_vocabulary(path) -> Vocabulary:
             raise DatasetFormatError(f"{path}: invalid vocabulary JSON: {e}") from None
     if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
         raise DatasetFormatError(f"{path}: vocabulary must map 'objects' and 'relationships' to lists")
+    for key in ("objects", "relationships"):
+        if not (isinstance(raw[key], list) and all(isinstance(label, str) for label in raw[key])):
+            raise DatasetFormatError(f"{path}: vocabulary {key!r} must be a list of strings")
     return Vocabulary(tuple(raw["objects"]), tuple(raw["relationships"])).with_reserved()
 
 
@@ -194,6 +198,13 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
             indent=1,
         )
         fh.write("\n")
+
+
+def _node_index(value) -> int:
+    """A relationship endpoint as an int; DatasetFormatError for a boolean or a non-integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DatasetFormatError(f"relationship endpoint {value!r} is not an integer")
+    return int(value)
 
 
 def load_graphs(path, vocab: Vocabulary) -> tuple[SceneGraph, ...]:
@@ -218,11 +229,11 @@ def load_graphs(path, vocab: Vocabulary) -> tuple[SceneGraph, ...]:
             try:
                 nodes = tuple(vocab.object_index(o["label"]) for o in objects)
                 edges = tuple(
-                    (int(r["subject"]), vocab.relationship_index(r["predicate"]), int(r["object"]))
+                    (_node_index(r["subject"]), vocab.relationship_index(r["predicate"]), _node_index(r["object"]))
                     for r in relationships
                 )
-            except UnknownLabelError as e:
-                raise UnknownLabelError(f"{path}:{lineno}: {e}") from None
+            except DatasetFormatError as e:
+                raise type(e)(f"{path}:{lineno}: {e}") from None
             except (KeyError, TypeError, ValueError):
                 raise DatasetFormatError(f"{path}:{lineno}: malformed object/relationship record") from None
             g = SceneGraph(image_id, nodes, edges)
@@ -250,23 +261,21 @@ def save_graphs(graphs, vocab: Vocabulary, path) -> None:
 
 def load_similarity(path) -> SimilarityMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise DatasetFormatError(f"{path}: empty similarity file")
-    image_ids = tuple(rows[0])
-    n = len(image_ids)
-    if len(rows) - 1 != n:
-        raise DimensionMismatchError(f"{path}: header lists {n} images but file has {len(rows) - 1} rows")
-    values = np.empty((n, n))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n:
-            raise DimensionMismatchError(f"{path}:{i}: expected {n} columns, got {len(row)}")
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty similarity file")
         try:
-            values[i - 2] = [float(c) for c in row]
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{i}: non-numeric similarity entry") from None
-    return SimilarityMatrix(image_ids, values)
+            # A header-only file has an empty body, which the shape check reports.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as e:
+            raise DatasetFormatError(f"{path}: malformed similarity body: {e}") from None
+    n = len(header)
+    if values.shape != (n, n):
+        body = f"{values.shape[0]}x{values.shape[1]}" if values.size else "empty"
+        raise DimensionMismatchError(f"{path}: header lists {n} images but the body is {body}")
+    return SimilarityMatrix(tuple(header), values)
 
 
 def save_similarity(sim: SimilarityMatrix, path) -> None:

@@ -9,15 +9,19 @@ import sys
 import pytest
 
 from sgembed import cli
+from sgembed.checkpoint import CheckpointError, CheckpointHashMismatch
 from sgembed.cli import (
     EXIT_BAD_DATA,
     EXIT_HASH_MISMATCH,
     EXIT_MISSING_FILE,
+    EXIT_RUNTIME,
     build_parser,
     main,
 )
+from sgembed.objectives import DegenerateDistributionError, SamplerExhaustedError
+from sgembed.scene import DatasetFormatError
 from sgembed.synth import SynthConfig, generate
-from sgembed.train import TrainConfig
+from sgembed.train import TrainConfig, TrainingDivergedError
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -234,6 +238,14 @@ class TestExitCodes:
         assert last.startswith("ValueError:") and "--seeds" in last
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["5..2", ","])
+    def test_sweep_without_noise_levels_is_refused(self, pipeline, tmp_path, capsys, spec):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], f"--noise-list={spec}"]
+        assert main([*args, "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: --noise-list {spec!r} names no noise level"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["eval"], ["retrieve", "--noise", "1"], ["sweep"], ["train"]])
     def test_negative_split_seed_names_the_flag(self, pipeline, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -242,6 +254,65 @@ class TestExitCodes:
         assert main([*args, "--out", str(out)]) == EXIT_BAD_DATA
         assert capsys.readouterr().err.splitlines()[-1] == "ValueError: --split-seed -1 is not a non-negative integer"
         assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize(
+        "command, value, culprit",
+        [
+            (["gen-data", "--seed"], "-1", "-1"),
+            (["train", "--seed"], "-1", "-1"),
+            (["eval", "--seed"], "-1", "-1"),
+            (["retrieve", "--noise", "1", "--seed"], "-1", "-1"),
+            (["retrieve", "--noise"], "-2", "-2"),
+            (["sweep", "--seeds"], "-1", "-1"),
+            (["sweep", "--seeds"], "0,x", "x"),
+            (["sweep", "--noise-list"], "-2..1", "-2"),
+            (["sweep", "--noise-list"], "1..x", "x"),
+        ],
+        ids=[
+            "gen-data-seed", "train-seed", "eval-seed", "retrieve-seed", "retrieve-noise",
+            "sweep-seeds", "sweep-seeds-not-int", "sweep-noise-list", "sweep-noise-list-not-int",
+        ],
+    )
+    def test_bad_seed_or_noise_names_the_flag(self, pipeline, tmp_path, capsys, command, value, culprit):
+        out = tmp_path / "out"
+        name, flag = command[0], command[-1]
+        inputs = {"gen-data": [], "train": ["--data", pipeline["data"]]}.get(
+            name, ["--data", pipeline["data"], "--checkpoint", pipeline["ckpt"]]
+        )
+        assert main([*command[:-1], f"{flag}={value}", *inputs, "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: {flag} {culprit} is not a non-negative integer"
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_names_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"seed": -3}))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == "ValueError: --seed -3 is not a non-negative integer"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (FileNotFoundError, EXIT_MISSING_FILE),
+            (CheckpointHashMismatch, EXIT_HASH_MISMATCH),
+            (SamplerExhaustedError, EXIT_RUNTIME),
+            (DegenerateDistributionError, EXIT_RUNTIME),
+            (TrainingDivergedError, EXIT_RUNTIME),
+            (ValueError, EXIT_BAD_DATA),
+            (DatasetFormatError, EXIT_BAD_DATA),
+            (CheckpointError, EXIT_BAD_DATA),
+            (RuntimeError, 1),
+            (KeyError, 1),
+        ],
+    )
+    def test_main_maps_each_exception_kind_to_its_code(self, monkeypatch, capsys, error, code):
+        def fail(data_dir):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_load_data", fail)
+        assert main(["stats", "--data", "."]) == code
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"{error.__name__}: ")
 
     def test_malformed_checkpoint_header(self, pipeline, tmp_path):
         blob = open(pipeline["ckpt"], "rb").read()
@@ -329,6 +400,40 @@ class TestOptions:
             "--epochs", "--batch-size", "--learning-rate", "--seed",
             "--checkpoint-every", "--eval-every", "--split-seed",
         }
+
+    def test_eval_options(self):
+        assert _long_options("eval") == {
+            "--help", "--data", "--checkpoint", "--split", "--split-seed", "--out", "--seed",
+        }
+
+    def test_retrieve_options(self):
+        assert _long_options("retrieve") == {
+            "--help", "--data", "--checkpoint", "--split", "--split-seed", "--out",
+            "--noise", "--seed", "--per-query-ranks",
+        }
+
+    def test_sweep_options(self):
+        assert _long_options("sweep") == {
+            "--help", "--data", "--checkpoint", "--split", "--split-seed", "--out",
+            "--noise-list", "--seeds",
+        }
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            (["eval"], {"command", "split", "checkpoint", "seed"}),
+            (["retrieve", "--noise", "1"], {"command", "split", "checkpoint", "noise", "seed"}),
+            (["sweep", "--noise-list", "1..2"], {"command", "split", "checkpoint", "noise_list", "seeds"}),
+        ],
+    )
+    def test_checkpoint_command_resolved_config_keys(self, pipeline, tmp_path, command, keys):
+        out = tmp_path / "out"
+        args = [*command, "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]
+        assert main(args) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved) == keys
+        assert resolved["command"] == command[0] and resolved["split"] == "test"
+        assert resolved["checkpoint"] == os.path.abspath(pipeline["ckpt"])
 
     def test_gen_data_options(self):
         assert _long_options("gen-data") == {

@@ -1,6 +1,8 @@
 """Data model, file round-trips, augmentation and corruption."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from sgembed.scene import (
     augment_trivial,
     corrupt,
     load_dataset,
+    load_similarity,
     save_dataset,
+    save_similarity,
     split_dataset,
 )
 
@@ -75,6 +79,57 @@ class TestLoading:
         bad = GRAPHS.replace('"subject": 0, "predicate": "throwing", "object": 1', '"subject": 0, "predicate": "throwing", "object": 0')
         with pytest.raises(DatasetFormatError, match="self-loop"):
             load_dataset(*write_fixture(tmp_path, bad, SIM, VOCAB))
+
+    @pytest.mark.parametrize("subject, obj", [("0.9", "1.2"), ("true", "0"), ("0", "true"), ("1.5", "0")])
+    def test_non_integral_or_boolean_endpoint_rejected(self, tmp_path, subject, obj):
+        edge = '"subject": 0, "predicate": "throwing", "object": 1'
+        bad = GRAPHS.replace(edge, f'"subject": {subject}, "predicate": "throwing", "object": {obj}')
+        with pytest.raises(DatasetFormatError, match=r"graphs\.jsonl:1: relationship endpoint .* is not an integer"):
+            load_dataset(*write_fixture(tmp_path, bad, SIM, VOCAB))
+
+    @pytest.mark.parametrize(
+        "key, value", [("objects", "mandog"), ("relationships", "on"), ("objects", ["man", 3]), ("relationships", {"a": 1})]
+    )
+    def test_vocabulary_lists_must_hold_strings(self, tmp_path, key, value):
+        vocab = {**json.loads(VOCAB), key: value}
+        with pytest.raises(DatasetFormatError, match=rf"vocabulary\.json: vocabulary '{key}' must be a list of strings"):
+            load_dataset(*write_fixture(tmp_path, GRAPHS, SIM, json.dumps(vocab)))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1.000000,0.500000,0.250000\n0.500000,x,0.750000\n0.250000,0.750000,1.000000\n",
+            "1.000000,0.500000,0.250000\n0.500000,,0.750000\n0.250000,0.750000,1.000000\n",
+            "1.000000,0.500000,0.250000\n0.500000,1.000000\n0.250000,0.750000,1.000000\n",
+        ],
+        ids=["non-numeric", "empty-entry", "ragged"],
+    )
+    def test_malformed_similarity_body_names_the_file(self, tmp_path, body):
+        with pytest.raises(DatasetFormatError, match=r"similarity\.csv: malformed similarity body"):
+            load_dataset(*write_fixture(tmp_path, GRAPHS, "a,b,c\n" + body, VOCAB))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "1.000000,0.500000,0.250000\n" * 4,
+            "1.000000,0.500000\n" * 3,
+            "1.000000,0.500000,0.250000,0.1\n" * 3,
+        ],
+        ids=["header-only", "extra-row", "short-rows", "long-rows"],
+    )
+    def test_similarity_body_must_be_n_by_n(self, tmp_path, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match="header lists 3 images"):
+                load_dataset(*write_fixture(tmp_path, GRAPHS, "a,b,c\n" + body, VOCAB))
+
+    def test_similarity_parses_like_float(self, tmp_path):
+        values = np.random.default_rng(0).random((40, 40))
+        path = tmp_path / "similarity.csv"
+        save_similarity(SimilarityMatrix(tuple(f"img{i}" for i in range(40)), values), path)
+        expected = np.array([[float("%.6f" % v) for v in row] for row in values])
+        assert load_similarity(path).values.tobytes() == expected.tobytes()
 
     def test_round_trip_is_value_identical(self, tmp_path):
         ds = load_dataset(*write_fixture(tmp_path, GRAPHS, SIM, VOCAB))
