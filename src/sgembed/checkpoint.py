@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .model import GcnModel, ModelConfig
-from .scene import Vocabulary
+from .scene import DatasetFormatError, Vocabulary
 
 MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 2
@@ -101,7 +101,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
 
     config = _model_config(path, header["model_config"])
     objects, relationships = (_field(path, "vocab", header["vocab"], key, list) for key in ("objects", "relationships"))
-    vocab = Vocabulary(tuple(objects), tuple(relationships))
+    try:
+        vocab = Vocabulary(objects, relationships)
+    except DatasetFormatError as e:
+        raise DatasetFormatError(f"{path}: {e}") from None
     if vocab.content_hash() != header["vocab_hash"]:
         raise CheckpointError(f"{path}: header vocabulary does not match its recorded hash")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
@@ -155,12 +158,3 @@ def _field(path, section: str, entry, key: str, kind: type):
         raise CheckpointError(f"{path}: malformed {section!r}: not an object with a {kind.__name__} {key!r}")
     return entry[key]
 
-
-def models_equal(a: GcnModel, b: GcnModel) -> bool:
-    """Exact equality of configs, vocabularies and every tensor/buffer."""
-    if a.config != b.config or a.vocab != b.vocab:
-        return False
-    ta, tb = _all_tensors(a), _all_tensors(b)
-    if set(ta) != set(tb):
-        return False
-    return all(np.array_equal(ta[name], tb[name]) for name in ta)

@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, summary):
-        p = sub.add_parser(name, help=summary, epilog=_EPILOG)
+        p = sub.add_parser(name, help=summary, epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--out", help="output directory (default: $SGEMBED_OUT_DIR or '.')")
         p.set_defaults(fn=fn)
         return p

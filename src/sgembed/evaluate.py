@@ -43,23 +43,67 @@ def _one_row(metric, x, y) -> float:
     return float(value)
 
 
+def _run_starts(head: np.ndarray) -> np.ndarray:
+    """Per element of a sorted row (last axis), where its run of equal values starts; head marks each run's start."""
+    return np.maximum.accumulate(np.where(head, np.arange(head.shape[-1]), 0), axis=-1)
+
+
 def _count_below(v: np.ndarray) -> np.ndarray:
     """Per value, how many in its row (last axis) are strictly smaller: where its run of ties starts when sorted."""
     order = np.argsort(v, axis=-1)
-    starts = np.diff(np.take_along_axis(v, order, axis=-1), axis=-1, prepend=-np.inf) != 0
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(v.shape[-1]), 0), axis=-1)
+    run_start = _run_starts(np.diff(np.take_along_axis(v, order, axis=-1), axis=-1, prepend=-np.inf) != 0)
     return np.take_along_axis(run_start, np.argsort(order, axis=-1), axis=-1)
 
 
+def _inversions(keys: np.ndarray) -> np.ndarray:
+    """Per row of an (r, m) int64 array of keys below m, the pairs i < j with keys[i] > keys[j].
+
+    A bottom-up merge sort over rows padded to a power of two with the key m.
+    At each level a stable argsort merges every pair of sorted blocks of every
+    row at once, in linear time (two sorted runs), and a right-block key that
+    moves from position order[p] to p passes order[p] - p larger left keys.
+    """
+    r, m = keys.shape
+    width = 1 << max(m - 1, 0).bit_length()
+    merged = np.full((r, width), m, dtype=np.int64)
+    merged[:, :m] = keys
+    inversions = np.zeros(r, dtype=np.int64)
+    half = 1
+    while half < width:
+        blocks = merged.reshape(r, -1, 2 * half)
+        order = np.argsort(blocks, axis=-1, kind="stable")
+        # right keys move left by the larger left keys they pass, left keys move right: keep the leftward moves
+        inversions += np.maximum(order - np.arange(2 * half), 0).sum(axis=(1, 2))
+        merged = np.take_along_axis(blocks, order, axis=-1).reshape(r, width)
+        half *= 2
+    return inversions
+
+
 def _kendall_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tau-b of each row pair of (r, m) arrays; NaN where a row is constant."""
-    xy = np.stack([x, y])
-    # pair (i, j > i) signs one column i at a time: memory O(r*m), and every term is an exact integer
-    terms = (np.sign(xy[..., i + 1 :] - xy[..., i, None]).prod(axis=0).sum(axis=-1) for i in range(x.shape[-1]))
-    concordant_minus_discordant = sum(terms, np.zeros(len(x)))
-    # a row's counts of smaller values sum to its pairs of distinct values: n0 minus the tied pairs
-    denom = _count_below(xy).sum(axis=-1, dtype=np.float64).prod(axis=0)
-    return np.divide(concordant_minus_discordant, np.sqrt(denom), out=np.full(len(x), np.nan), where=denom > 0.0)
+    """Tau-b of each row pair of (r, m) arrays; NaN where a row is constant.
+
+    Knight's method: sort each row by (x, y); then concordant minus discordant
+    pairs is n0 - n1 - n2 + n3 - 2 * (inversions of y in that order), where n0
+    counts all pairs and n1, n2, n3 the pairs tied in x, in y and in both.
+    Every count is an exact int64.
+    """
+    by_y = np.argsort(y, axis=-1)
+    y_head = np.diff(np.take_along_axis(y, by_y, axis=-1), axis=-1, prepend=-np.inf) != 0
+    y_rank = _run_starts(y_head)  # y values below, by y-sorted position: ties share a rank
+    x_by_y = np.take_along_axis(x, by_y, axis=-1)
+    by_xy = np.argsort(x_by_y, axis=-1, kind="stable")  # ties in x stay in y order
+    x_sorted, y_rank = (np.take_along_axis(v, by_xy, axis=-1) for v in (x_by_y, y_rank))
+    x_head = np.diff(x_sorted, axis=-1, prepend=-np.inf) != 0
+    xy_head = x_head | (np.diff(y_rank, axis=-1, prepend=-1) != 0)
+    # a run start counts the earlier, unequal values an element pairs with: summed, all pairs minus the tied ones
+    untied_x, untied_xy = (_run_starts(h).sum(axis=-1) for h in (x_head, xy_head))
+    untied_y = y_rank.sum(axis=-1)
+    # n0 - n1 - n2 + n3 is (n0 - n1) + (n0 - n2) - (n0 - n3)
+    concordant_minus_discordant = untied_x + untied_y - untied_xy - 2 * _inversions(y_rank)
+    denom = untied_x.astype(np.float64) * untied_y.astype(np.float64)
+    return np.divide(
+        concordant_minus_discordant.astype(np.float64), np.sqrt(denom), out=np.full(len(x), np.nan), where=denom > 0.0
+    )
 
 
 def kendall_tau(x, y) -> float:

@@ -52,9 +52,14 @@ class Vocabulary:
     relationship_labels: tuple[str, ...]
 
     def __post_init__(self):
-        for kind, labels in (("object", self.object_labels), ("relationship", self.relationship_labels)):
+        # the keys are the vocabulary file's and the checkpoint header's names for the two lists
+        for attr, key in (("object_labels", "objects"), ("relationship_labels", "relationships")):
+            labels = getattr(self, attr)
+            if not (isinstance(labels, (list, tuple)) and all(isinstance(label, str) for label in labels)):
+                raise DatasetFormatError(f"vocabulary {key!r} must be a list of strings")
             if len(set(labels)) != len(labels):
-                raise DatasetFormatError(f"duplicate {kind} labels in vocabulary")
+                raise DatasetFormatError(f"vocabulary {key!r} has duplicate labels")
+            object.__setattr__(self, attr, tuple(labels))
         object.__setattr__(self, "_object_index", {l: i for i, l in enumerate(self.object_labels)})
         object.__setattr__(self, "_rel_index", {l: i for i, l in enumerate(self.relationship_labels)})
 
@@ -184,10 +189,10 @@ def load_vocabulary(path) -> Vocabulary:
             raise DatasetFormatError(f"{path}: invalid vocabulary JSON: {e}") from None
     if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
         raise DatasetFormatError(f"{path}: vocabulary must map 'objects' and 'relationships' to lists")
-    for key in ("objects", "relationships"):
-        if not (isinstance(raw[key], list) and all(isinstance(label, str) for label in raw[key])):
-            raise DatasetFormatError(f"{path}: vocabulary {key!r} must be a list of strings")
-    return Vocabulary(tuple(raw["objects"]), tuple(raw["relationships"])).with_reserved()
+    try:
+        return Vocabulary(raw["objects"], raw["relationships"]).with_reserved()
+    except DatasetFormatError as e:
+        raise DatasetFormatError(f"{path}: {e}") from None
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -112,6 +112,30 @@ def generate(config: SynthConfig) -> Dataset:
     return Dataset(tuple(graphs), similarity, vocab)
 
 
+def _difference_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram counts of |values[i, a] - values[i, b]| over each row i and pair a < b of its off-diagonal entries.
+
+    Exact without the (n-1)^2 difference matrix: with a row sorted into s,
+    fl(t - s[a]) is monotone in t, so the partners b > a whose difference is
+    below a bound e are those with s[b] below the least float t such that
+    fl(t - s[a]) >= e, which ulp steps from s[a] + e reach.
+    """
+    n = values.shape[0]
+    # np.histogram's last bin is closed: count differences <= the last edge as below its successor
+    bounds = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))[:, None]
+    below = np.zeros(len(edges), dtype=np.int64)
+    for i in range(n):
+        s = np.sort(values[i, np.arange(n) != i])
+        t = s + bounds
+        while (down := np.nextafter(t, -np.inf) - s >= bounds).any():
+            t = np.where(down, np.nextafter(t, -np.inf), t)
+        while (up := t - s < bounds).any():
+            t = np.where(up, np.nextafter(t, np.inf), t)
+        # values below t, less s[a] and the values before it, are the partners b > a below the bound
+        below += np.maximum(np.searchsorted(s, t) - np.arange(1, len(s) + 1), 0).sum(axis=1)
+    return np.diff(below)
+
+
 def dataset_stats(dataset: Dataset) -> dict:
     """Summary of graph sizes and of the supervision value distribution.
 
@@ -126,12 +150,7 @@ def dataset_stats(dataset: Dataset) -> dict:
     off_diag = values[~np.eye(n, dtype=bool)] if n > 1 else np.zeros(0)
 
     diff_edges = np.linspace(0.0, 1.0, 21)
-    diffs_hist = np.zeros(20, dtype=np.int64)
-    for i in range(n):
-        row = values[i, np.arange(n) != i]
-        diffs = np.abs(row[:, None] - row[None, :])
-        iu = np.triu_indices(len(row), 1)
-        diffs_hist += np.histogram(diffs[iu], bins=diff_edges)[0]
+    diffs_hist = _difference_histogram(values, diff_edges)
 
     sim_hist, sim_edges = (
         np.histogram(off_diag, bins=20, range=(0.0, 1.0)) if off_diag.size else (np.zeros(20, np.int64), diff_edges)

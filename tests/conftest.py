@@ -47,6 +47,14 @@ def relative_gradient_error(forward_fn, leaves, h=FD_STEP, coords_per_leaf=None,
     return worst
 
 
+def models_equal(a, b) -> bool:
+    """Exact equality of configs, vocabularies and every parameter and buffer."""
+    if a.config != b.config or a.vocab != b.vocab:
+        return False
+    ta, tb = ({**{n: p.data for n, p in m.parameters().items()}, **m.buffers()} for m in (a, b))
+    return set(ta) == set(tb) and all(np.array_equal(ta[name], tb[name]) for name in ta)
+
+
 @pytest.fixture(autouse=True)
 def _reset_degenerate_counter():
     T.reset_degenerate_norm_count()

@@ -1,20 +1,21 @@
 """Checkpoint format: round trips, corruption detection, mismatch refusals."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from conftest import models_equal
 from sgembed.checkpoint import (
     MAGIC,
     CheckpointError,
     CheckpointHashMismatch,
     load_checkpoint,
-    models_equal,
     save_checkpoint,
 )
 from sgembed.model import GcnModel, ModelConfig, embed_graphs
-from sgembed.scene import SceneGraph, Vocabulary, augment_trivial
+from sgembed.scene import DatasetFormatError, SceneGraph, Vocabulary, augment_trivial
 
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
 
@@ -160,6 +161,18 @@ def test_malformed_header_names_file_and_key(model, tmp_path, mutate, key):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value) and key in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["objects", "relationships"])
+@pytest.mark.parametrize("label", [["cat"], {"cat": 1}, 3, None], ids=["list", "object", "number", "null"])
+def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    header["vocab"][key].append(label)
+    _write_header(path, header, payload)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: vocabulary '{key}' must be a list of strings")):
+        load_checkpoint(path)
 
 
 def _write_v1(model, path, **knobs):

@@ -352,6 +352,21 @@ class TestExitCodes:
         assert last.startswith(f"CheckpointError: {ckpt}: malformed '{key}'")
         assert not (out / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("key", ["objects", "relationships"])
+    def test_checkpoint_vocabulary_entry_that_is_not_a_string(self, pipeline, tmp_path, capsys, key):
+        blob = open(pipeline["ckpt"], "rb").read()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        header["vocab"][key][0] = ["not", "a", "label"]
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+        out = tmp_path / "e"
+        assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"DatasetFormatError: {ckpt}: vocabulary '{key}' must be a list of strings"
+        assert not (out / "eval_report.json").exists()
+
     def test_error_is_single_machine_readable_line(self, tmp_path):
         r = run_cli(["stats", "--data", str(tmp_path / "nope")])
         lines = [l for l in r.stderr.splitlines() if l.strip()]
@@ -378,6 +393,15 @@ class TestHelp:
         assert "exit codes" in help_text
         for code in ("2", "3", "4", "5", "6"):
             assert code in help_text
+
+    def test_every_subcommand_help_lists_one_exit_code_per_line(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            lines = sub.format_help().splitlines()
+            assert "exit codes:" in lines, name
+            for code, (meaning, _) in cli._EXIT_CODES.items():
+                assert f"  {code}  {meaning}" in lines, f"{name}: exit code {code} not on its own line"
 
     def test_main_returns_usage_error_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,8 @@ from sgembed.evaluate import (
     _METRICS,
     _QUERY_BLOCK,
     _average_ranks,
+    _inversions,
+    _kendall_rows,
     evaluate,
     evaluate_embeddings,
     kendall_tau,
@@ -61,6 +63,16 @@ def oracle_kendall_tau_b(x, y):
     if denom == 0:
         raise ZeroDivisionError
     return (concordant - discordant) / denom
+
+
+def pair_sign_kendall_rows(x, y):
+    """Tau-b of each row pair of (r, m) arrays from the sign of every pair, one column at a time: O(m^2) time."""
+    xy = np.stack([x, y])
+    terms = (np.sign(xy[..., i + 1 :] - xy[..., i, None]).prod(axis=0).sum(axis=-1) for i in range(x.shape[-1]))
+    concordant_minus_discordant = sum(terms, np.zeros(len(x)))
+    # pairs of unequal values: each value pairs with every strictly smaller one in its row
+    denom = np.prod([(v[..., :, None] > v[..., None, :]).sum(axis=(-2, -1), dtype=np.float64) for v in (x, y)], axis=0)
+    return np.divide(concordant_minus_discordant, np.sqrt(denom), out=np.full(len(x), np.nan), where=denom > 0.0)
 
 
 def oracle_ranks(values):
@@ -160,6 +172,35 @@ class TestMetricOracles:
             x = rng.integers(0, levels, size=n) * 0.1
             y = rng.integers(0, levels, size=n) * 0.1
             assert kendall_tau(x, y) == oracle_kendall_tau_b(list(x), list(y))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 64, 65, 300])
+    def test_kendall_rows_equal_pair_sign_rows_exactly(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.integers(0, 4, size=(6, m)) * 0.25
+        y = np.round(rng.normal(size=(6, m)), 1)
+        x[1] = 0.5  # a constant row
+        y[2] = -1.0
+        x[3], y[3] = y[4], x[4]  # swapped roles
+        y[5] = -x[5]  # ties in both at once
+        got = _kendall_rows(x, y)
+        assert got.tobytes() == pair_sign_kendall_rows(x, y).tobytes()  # bit for bit, NaN rows included
+        assert np.isnan(got[1:3]).all()
+
+    @pytest.mark.parametrize("n_pairs", [19_900, 2_000_000])
+    def test_kendall_matches_scipy_on_large_tie_heavy_vectors(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        x = np.round(rng.uniform(size=n_pairs) * 20) / 20
+        y = np.round(rng.normal(size=n_pairs), 3)
+        assert abs(kendall_tau(x, y) - scipy.stats.kendalltau(x, y).statistic) < 1e-10
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 9, 31, 100])
+    def test_inversions_equal_brute_force(self, m):
+        rng = np.random.default_rng(m)
+        keys = np.stack([rng.integers(0, levels, size=m) for levels in (1, 2, 3, max(m, 1))])
+        keys[-1] = np.sort(keys[-1])[::-1]  # every unequal pair inverted
+        brute = [sum(int(row[i] > row[j]) for i in range(m) for j in range(i + 1, m)) for row in keys]
+        got = _inversions(keys.astype(np.int64))
+        assert got.dtype == np.int64 and got.tolist() == brute
 
     @pytest.mark.parametrize("metric", [kendall_tau, spearman_rho, pearson_r])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

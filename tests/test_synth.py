@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgembed.scene import augment_trivial, load_dataset, save_dataset
-from sgembed.synth import SynthConfig, dataset_stats, generate, similarity_from_mixtures
+from sgembed.synth import SynthConfig, _difference_histogram, dataset_stats, generate, similarity_from_mixtures
 
 FAST = SynthConfig(n_images=40, n_object_labels=30, n_relationship_labels=12, n_topics=3, objects_max=10, edges_max=8, seed=5)
 
@@ -141,3 +141,41 @@ class TestStats:
         low, high = FAST.similarity_band
         assert edges[nonzero_bins[0]] >= low - 0.05
         assert edges[nonzero_bins[-1] + 1] <= high + 0.05
+
+
+def histogram_of_difference_matrices(values, edges):
+    """The (n-1)^2 difference matrix of every row, binned by np.histogram."""
+    n = values.shape[0]
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for i in range(n):
+        row = values[i, np.arange(n) != i]
+        diffs = np.abs(row[:, None] - row[None, :])
+        counts += np.histogram(diffs[np.triu_indices(len(row), 1)], bins=edges)[0]
+    return counts
+
+
+class TestDifferenceHistogram:
+    EDGES = np.linspace(0.0, 1.0, 21)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 30, 90])
+    @pytest.mark.parametrize("kind", ["uniform", "tenths", "twentieths", "two-levels", "constant", "band"])
+    def test_counts_equal_np_histogram(self, n, kind):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(size=(n, n))
+        values = {
+            "uniform": values,
+            "tenths": np.round(values, 1),  # differences land on or one rounding away from every edge
+            "twentieths": np.round(values * 20) / 20,
+            "two-levels": np.where(values < 0.5, 0.0, 1.0),  # differences of exactly 0 and 1, the closed last bin
+            "constant": np.full((n, n), 0.35),
+            "band": np.round(0.6 + 0.2 * values, 6),  # the generator's rounding
+        }[kind]
+        got = _difference_histogram(values, self.EDGES)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, histogram_of_difference_matrices(values, self.EDGES))
+
+    def test_dataset_stats_counts_equal_np_histogram(self):
+        ds = generate(SynthConfig(n_images=120, seed=11))
+        counts = dataset_stats(ds)["similarity_difference_histogram"]["counts"]
+        assert counts == histogram_of_difference_matrices(ds.similarity.values, self.EDGES).tolist()
+        assert sum(counts) == 120 * 119 * 118 // 2

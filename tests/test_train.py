@@ -5,7 +5,8 @@ import gc
 import numpy as np
 import pytest
 
-from sgembed.checkpoint import load_checkpoint, models_equal
+from conftest import models_equal
+from sgembed.checkpoint import load_checkpoint
 from sgembed.evaluate import evaluate
 from sgembed.model import GcnModel, ModelConfig
 from sgembed.objectives import LossConfig, SamplerConfig, TripleSampler
