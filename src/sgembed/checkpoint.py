@@ -6,13 +6,14 @@ config, the full vocabulary (so a checkpoint is self-contained), its
 hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
 buffers alike) and any extra run metadata the trainer wants to keep.
-Version 1 files, which also held two config knobs and the last layer's
-edge head, are read by rewriting their header as version 2.
+Version 1 and 2 files, which also held the biases that batchnorm cancels,
+are read through one upgrade to version 3 (see _upgrade).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -21,7 +22,7 @@ from .model import GcnModel, ModelConfig
 from .scene import DatasetFormatError, Vocabulary
 
 MAGIC = b"SGEMBED1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 
 
@@ -33,14 +34,8 @@ class CheckpointHashMismatch(CheckpointError):
     """Checkpoint vocabulary does not match the dataset it is used with."""
 
 
-def _all_tensors(model: GcnModel) -> dict[str, np.ndarray]:
-    arrays = {name: p.data for name, p in model.parameters().items()}
-    arrays.update(model.buffers())
-    return arrays
-
-
 def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
-    arrays = _all_tensors(model)
+    arrays = model.arrays()
     directory = []
     offset = 0
     for name, arr in arrays.items():
@@ -83,13 +78,11 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     version = header.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r}")
-    if version == 1:
-        _v1_to_v2(path, header)
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise CheckpointError(f"{path}: malformed 'extra': not a JSON object")
@@ -98,6 +91,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         raise CheckpointError(
             f"{path}: truncated payload ({payload.size} floats, expected {header['total_floats']})"
         )
+    stored = _stored_tensors(path, header["tensors"], payload)
+    if version < FORMAT_VERSION:
+        _upgrade(path, version, header["model_config"], stored)
 
     config = _model_config(path, header["model_config"])
     objects, relationships = (_field(path, "vocab", header["vocab"], key, list) for key in ("objects", "relationships"))
@@ -113,24 +109,33 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         )
 
     model = GcnModel.create(config, vocab, seed=0)
-    arrays = _all_tensors(model)
-    expected_names = list(arrays.keys())
-    if not isinstance(header["tensors"], list):
-        raise CheckpointError(f"{path}: malformed 'tensors': not a JSON list")
-    directory = {_field(path, "tensors", entry, "name", str): entry for entry in header["tensors"]}
-    if set(directory) != set(expected_names):
+    arrays = model.arrays()
+    if set(stored) != set(arrays):
         raise CheckpointError(f"{path}: tensor directory does not match the model structure")
-    for name in expected_names:
-        entry = directory[name]
-        arr = arrays[name]
-        shape = _field(path, "tensors", entry, "shape", list)
-        if tuple(shape) != arr.shape:
-            raise CheckpointError(f"{path}: tensor {name} has shape {shape}, model expects {list(arr.shape)}")
-        start = _field(path, "tensors", entry, "offset", int)
-        if not 0 <= start <= payload.size - arr.size:
-            raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
-        np.copyto(arr, payload[start : start + arr.size].reshape(arr.shape))
+    for name, arr in arrays.items():
+        got = stored[name]
+        if got.shape != arr.shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape {list(got.shape)}, model expects {list(arr.shape)}")
+        np.copyto(arr, got)
     return model, extra
+
+
+def _stored_tensors(path, directory, payload: np.ndarray) -> dict[str, np.ndarray]:
+    """The header's tensor directory as name -> view of the payload."""
+    if not isinstance(directory, list):
+        raise CheckpointError(f"{path}: malformed 'tensors': not a JSON list")
+    stored = {}
+    for entry in directory:
+        name = _field(path, "tensors", entry, "name", str)
+        shape = _field(path, "tensors", entry, "shape", list)
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name} has shape {shape}, not a list of sizes")
+        start = _field(path, "tensors", entry, "offset", int)
+        size = math.prod(shape)
+        if not 0 <= start <= payload.size - size:
+            raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
+        stored[name] = payload[start : start + size].reshape(shape)
+    return stored
 
 
 def _model_config(path, values) -> ModelConfig:
@@ -140,16 +145,36 @@ def _model_config(path, values) -> ModelConfig:
         raise CheckpointError(f"{path}: malformed 'model_config': {e}") from None
 
 
-def _v1_to_v2(path, header: dict) -> None:
-    """Drop a version 1 header's config knobs, which must be true, and its last-layer edge head entries."""
-    values = header["model_config"]
-    for knob in ("pool_include_trivial", "renormalize_embedding"):
-        if isinstance(values, dict) and values.pop(knob, True) is not True:
-            raise CheckpointError(f"{path}: version 1 model_config {knob!r} must be true")
-    last = _model_config(path, values).num_layers - 1
-    dead = {f"layers.{last}.head_e_w", f"layers.{last}.head_e_b"}
-    if isinstance(header["tensors"], list):
-        header["tensors"] = [e for e in header["tensors"] if not (isinstance(e, dict) and e.get("name") in dead)]
+def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -> None:
+    """Rewrite a version 1 or 2 model_config and tensor directory in place as version 3.
+
+    Version 1 also held two config knobs, which must be true, and a last-layer edge head, which fed
+    nothing. Both held trunk_b, node_b1 and head_e_b (through the edge rows of the next trunk_w), each
+    feeding a batchnorm; subtracting it from that running mean keeps EVAL exact in real arithmetic.
+    """
+    if version == 1:
+        for knob in ("pool_include_trivial", "renormalize_embedding"):
+            if isinstance(config_values, dict) and config_values.pop(knob, True) is not True:
+                raise CheckpointError(f"{path}: version 1 model_config {knob!r} must be true")
+    config = _model_config(path, config_values)
+    hidden, out, last = config.mlp_hidden, config.out_dim, config.num_layers - 1
+    if version == 1:
+        for name in ("head_e_w", "head_e_b"):
+            stored.pop(f"layers.{last}.{name}", None)
+
+    def needed(name: str, shape: tuple, drop: bool = False) -> np.ndarray:
+        if name not in stored or stored[name].shape != shape:
+            raise CheckpointError(f"{path}: version {version} checkpoint has no tensor {name} of shape {list(shape)}")
+        return stored.pop(name) if drop else stored[name]
+
+    for i in range(config.num_layers):
+        layer = f"layers.{i}."
+        shift = needed(layer + "trunk_b", (hidden,), drop=True)
+        if i > 0:
+            edge_rows = needed(layer + "trunk_w", (3 * out, hidden))[out : 2 * out]
+            shift = shift + needed(f"layers.{i - 1}.head_e_b", (out,), drop=True) @ edge_rows
+        for bn, bias in (("trunk_bn", shift), ("node_bn", needed(layer + "node_b1", (hidden,), drop=True))):
+            stored[f"{layer}{bn}.running_mean"] = needed(f"{layer}{bn}.running_mean", (hidden,)) - bias
 
 
 def _field(path, section: str, entry, key: str, kind: type):

@@ -48,13 +48,6 @@ def _run_starts(head: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(head, np.arange(head.shape[-1]), 0), axis=-1)
 
 
-def _count_below(v: np.ndarray) -> np.ndarray:
-    """Per value, how many in its row (last axis) are strictly smaller: where its run of ties starts when sorted."""
-    order = np.argsort(v, axis=-1)
-    run_start = _run_starts(np.diff(np.take_along_axis(v, order, axis=-1), axis=-1, prepend=-np.inf) != 0)
-    return np.take_along_axis(run_start, np.argsort(order, axis=-1), axis=-1)
-
-
 def _inversions(keys: np.ndarray) -> np.ndarray:
     """Per row of an (r, m) int64 array of keys below m, the pairs i < j with keys[i] > keys[j].
 
@@ -112,8 +105,14 @@ def kendall_tau(x, y) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks along the last axis; a run of ties gets the mean of its positions (smaller + 1 to m - larger)."""
-    return (_count_below(v) + 1 + v.shape[-1] - _count_below(-v)) / 2.0
+    """1-based ranks along the last axis; a run of ties gets the mean of its first and last sorted positions."""
+    order = np.argsort(v, axis=-1)
+    head = np.diff(np.take_along_axis(v, order, axis=-1), axis=-1, prepend=-np.inf) != 0
+    tail = np.concatenate([head[..., 1:], np.ones_like(head[..., :1])], axis=-1)
+    last = v.shape[-1] - 1 - _run_starts(tail[..., ::-1])[..., ::-1]  # a run's start in the reversed row
+    ranks = np.empty(v.shape)
+    np.put_along_axis(ranks, order, (_run_starts(head) + last + 2) / 2.0, axis=-1)
+    return ranks
 
 
 def _spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ messages arriving at each node, and passes the average through a second
 MLP followed by row-wise l2 normalization. Graph embeddings are the mean
 of the final node states over each graph, re-normalized to unit length.
 The last layer has no edge head: its edge states would feed nothing.
+Each MLP starts with matmul, batchnorm, relu. That matmul has no bias, nor
+has the edge head, whose output reaches the next trunk's batchnorm.
 
 Minibatches are processed as one disjoint-union graph: node indices are
 offset per graph and a per-node graph id drives the pooling.
@@ -51,7 +53,6 @@ class GcnLayerParams:
     """Learnable weights of one convolution layer plus its batchnorm buffers."""
 
     trunk_w: Tensor
-    trunk_b: Tensor
     trunk_gamma: Tensor
     trunk_beta: Tensor
     trunk_bn: BatchNormState
@@ -60,9 +61,7 @@ class GcnLayerParams:
     head_t_w: Tensor
     head_t_b: Tensor
     head_e_w: Tensor | None  # None in the last layer
-    head_e_b: Tensor | None
     node_w1: Tensor
-    node_b1: Tensor
     node_gamma: Tensor
     node_beta: Tensor
     node_bn: BatchNormState
@@ -76,8 +75,9 @@ class GcnLayerParams:
 
 
 def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
-    # He-uniform weights; biases small-uniform rather than zero so a row whose
-    # activations all die still emits a safely-normalizable vector.
+    # He-uniform weights. The biases kept are head_s_b, head_t_b and node_b2;
+    # they are small-uniform rather than zero so that a row whose activations
+    # all die still emits a safely-normalizable vector.
     w_bound = math.sqrt(6.0 / fan_in)
     b_bound = 1.0 / math.sqrt(fan_in)
     w = Tensor(rng.uniform(-w_bound, w_bound, size=(fan_in, fan_out)), requires_grad=True)
@@ -95,14 +95,15 @@ def _batchnorm(width: int) -> tuple[Tensor, Tensor, BatchNormState]:
 def _create_layer(rng, width_in: int, config: ModelConfig) -> GcnLayerParams:
     h, out, hidden = config.message_dim, config.out_dim, config.mlp_hidden
     # Draw order fixes the weights a seed gives; arguments follow the field order.
-    trunk = _linear(rng, 3 * width_in, hidden)
+    # The biases batchnorm cancels are drawn and dropped, like the last edge head.
+    trunk_w, _ = _linear(rng, 3 * width_in, hidden)
     head_s = _linear(rng, hidden, h)
     head_t = _linear(rng, hidden, h)
-    head_e = _linear(rng, hidden, out)
-    node_1 = _linear(rng, h, hidden)
+    head_e_w, _ = _linear(rng, hidden, out)
+    node_w1, _ = _linear(rng, h, hidden)
     node_2 = _linear(rng, hidden, out)
     return GcnLayerParams(
-        *trunk, *_batchnorm(hidden), *head_s, *head_t, *head_e, *node_1, *_batchnorm(hidden), *node_2
+        trunk_w, *_batchnorm(hidden), *head_s, *head_t, head_e_w, node_w1, *_batchnorm(hidden), *node_2
     )
 
 
@@ -130,7 +131,7 @@ class GcnModel:
         )
         layers = [_create_layer(rng, d if i == 0 else config.out_dim, config) for i in range(config.num_layers)]
         # Drawn and then dropped, so every other weight a seed gives is unchanged.
-        layers[-1].head_e_w = layers[-1].head_e_b = None
+        layers[-1].head_e_w = None
         return cls(config, vocab, object_table, relationship_table, layers)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -139,13 +140,14 @@ class GcnModel:
             params.update({f"layers.{i}.{name}": p for name, p in layer.named(Tensor).items()})
         return params
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        buffers = {}
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter's array, then every batchnorm buffer, by name: the checkpoint's tensor layout."""
+        arrays = {name: p.data for name, p in self.parameters().items()}
         for i, layer in enumerate(self.layers):
             for name, bn in layer.named(BatchNormState).items():
-                buffers[f"layers.{i}.{name}.running_mean"] = bn.running_mean
-                buffers[f"layers.{i}.{name}.running_var"] = bn.running_var
-        return buffers
+                arrays[f"layers.{i}.{name}.running_mean"] = bn.running_mean
+                arrays[f"layers.{i}.{name}.running_var"] = bn.running_var
+        return arrays
 
 
 @dataclass
@@ -204,6 +206,12 @@ def embed_inputs(model: GcnModel, batch: BatchedGraph) -> tuple[Tensor, Tensor]:
     return node_states, edge_states
 
 
+def _matmul_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: Mode) -> Tensor:
+    """The first stage of the trunk and node MLPs. It has no bias: TRAIN-mode
+    batchnorm subtracts the batch mean, which cancels any shift added before it."""
+    return T.relu(T.batchnorm(T.matmul(x, w), gamma, beta, state, mode))
+
+
 def layer_forward(
     layer: GcnLayerParams,
     node_states: Tensor,
@@ -218,33 +226,17 @@ def layer_forward(
     src_states = T.gather_rows(node_states, batch.edge_src)
     tgt_states = T.gather_rows(node_states, batch.edge_tgt)
     trunk_in = T.concat([src_states, edge_states, tgt_states], axis=1)
-    hidden = T.relu(
-        T.batchnorm(
-            T.add(T.matmul(trunk_in, layer.trunk_w), layer.trunk_b),
-            layer.trunk_gamma,
-            layer.trunk_beta,
-            layer.trunk_bn,
-            mode,
-        )
-    )
+    hidden = _matmul_bn_relu(trunk_in, layer.trunk_w, layer.trunk_gamma, layer.trunk_beta, layer.trunk_bn, mode)
     msg_to_src = T.add(T.matmul(hidden, layer.head_s_w), layer.head_s_b)
     msg_to_tgt = T.add(T.matmul(hidden, layer.head_t_w), layer.head_t_b)
-    new_edge_states = None if layer.head_e_w is None else T.add(T.matmul(hidden, layer.head_e_w), layer.head_e_b)
+    new_edge_states = None if layer.head_e_w is None else T.matmul(hidden, layer.head_e_w)
 
     # Augmentation gives every node an incident edge, so no segment is empty.
     messages = T.concat([msg_to_src, msg_to_tgt], axis=0)
     segment_ids = np.concatenate([batch.edge_src, batch.edge_tgt])
     pooled = T.segment_mean(messages, segment_ids, batch.num_nodes)
 
-    pre = T.relu(
-        T.batchnorm(
-            T.add(T.matmul(pooled, layer.node_w1), layer.node_b1),
-            layer.node_gamma,
-            layer.node_beta,
-            layer.node_bn,
-            mode,
-        )
-    )
+    pre = _matmul_bn_relu(pooled, layer.node_w1, layer.node_gamma, layer.node_beta, layer.node_bn, mode)
     new_node_states = T.rowwise_l2_normalize(T.add(T.matmul(pre, layer.node_w2), layer.node_b2))
     return new_node_states, new_edge_states
 

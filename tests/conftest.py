@@ -1,10 +1,11 @@
-"""Shared fixtures and the finite-difference gradient oracle."""
+"""Shared fixtures, the finite-difference gradient oracle and a numpy reference forward."""
 
 import numpy as np
 import pytest
 
 from sgembed import tensor as T
 from sgembed.scene import Dataset, SceneGraph, SimilarityMatrix, Vocabulary
+from sgembed.tensor import BatchNormState
 
 FD_STEP = 1e-5
 
@@ -51,8 +52,44 @@ def models_equal(a, b) -> bool:
     """Exact equality of configs, vocabularies and every parameter and buffer."""
     if a.config != b.config or a.vocab != b.vocab:
         return False
-    ta, tb = ({**{n: p.data for n, p in m.parameters().items()}, **m.buffers()} for m in (a, b))
+    ta, tb = (m.arrays() for m in (a, b))
     return set(ta) == set(tb) and all(np.array_equal(ta[name], tb[name]) for name in ta)
+
+
+def reference_layer(t, prefix, nodes, edges, src, tgt):
+    """One EVAL-mode convolution layer in plain numpy from a name -> array dict ``t``.
+
+    A bias that checkpoint versions 1 and 2 held before a batchnorm (trunk_b,
+    node_b1, head_e_b) is added where ``t`` has it.
+    """
+    p = lambda name: t[prefix + name]
+    bias = lambda name: t.get(prefix + name, 0.0)
+
+    def bn_relu(x, bn):
+        inv = 1.0 / np.sqrt(p(f"{bn}_bn.running_var") + BatchNormState.eps)
+        return np.maximum((x - p(f"{bn}_bn.running_mean")) * inv * p(f"{bn}_gamma") + p(f"{bn}_beta"), 0.0)
+
+    hidden = bn_relu(np.concatenate([nodes[src], edges, nodes[tgt]], axis=1) @ p("trunk_w") + bias("trunk_b"), "trunk")
+    new_edges = hidden @ p("head_e_w") + bias("head_e_b") if prefix + "head_e_w" in t else None
+    inbox = np.zeros((len(nodes), p("head_s_w").shape[1]))
+    np.add.at(inbox, src, hidden @ p("head_s_w") + p("head_s_b"))
+    np.add.at(inbox, tgt, hidden @ p("head_t_w") + p("head_t_b"))
+    pooled = inbox / np.bincount(np.concatenate([src, tgt]), minlength=len(nodes))[:, None]
+    out = bn_relu(pooled @ p("node_w1") + bias("node_b1"), "node") @ p("node_w2") + p("node_b2")
+    return out / np.linalg.norm(out, axis=1, keepdims=True), new_edges
+
+
+def reference_embeddings(t, num_layers, graphs):
+    """EVAL-mode embeddings of augmented graphs, one reference_layer stack per graph."""
+    rows = []
+    for g in graphs:
+        src, rel, tgt = (np.array([e[k] for e in g.edges], dtype=np.int64) for k in range(3))
+        nodes, edges = t["object_table"][list(g.nodes)], t["relationship_table"][rel]
+        for i in range(num_layers):
+            nodes, edges = reference_layer(t, f"layers.{i}.", nodes, edges, src, tgt)
+        pooled = nodes.mean(axis=0)
+        rows.append(pooled / np.linalg.norm(pooled))
+    return np.array(rows)
 
 
 @pytest.fixture(autouse=True)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import models_equal
+from conftest import models_equal, reference_embeddings
 from sgembed.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -14,8 +14,9 @@ from sgembed.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sgembed.model import GcnModel, ModelConfig, embed_graphs
+from sgembed.model import GcnModel, ModelConfig, embed_graphs, forward
 from sgembed.scene import DatasetFormatError, SceneGraph, Vocabulary, augment_trivial
+from sgembed.tensor import Mode
 
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
 
@@ -102,7 +103,6 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
     save_checkpoint(model, path)
     header, _ = _read_header(path)
     layer = [
-        ("trunk_b", [6]),
         ("trunk_gamma", [6]),
         ("trunk_beta", [6]),
         ("head_s_w", [6, 4]),
@@ -110,9 +110,7 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
         ("head_t_w", [6, 4]),
         ("head_t_b", [4]),
         ("head_e_w", [6, 3]),
-        ("head_e_b", [3]),
         ("node_w1", [4, 6]),
-        ("node_b1", [6]),
         ("node_gamma", [6]),
         ("node_beta", [6]),
         ("node_w2", [6, 3]),
@@ -121,7 +119,7 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
     expected = [("object_table", [5, 5]), ("relationship_table", [4, 5])]
     expected += [("layers.0.trunk_w", [15, 6])] + [(f"layers.0.{n}", s) for n, s in layer]
     # The last layer has no edge head.
-    expected += [("layers.1.trunk_w", [9, 6])] + [(f"layers.1.{n}", s) for n, s in layer if not n.startswith("head_e")]
+    expected += [("layers.1.trunk_w", [9, 6])] + [(f"layers.1.{n}", s) for n, s in layer if n != "head_e_w"]
     for i in (0, 1):
         for bn in ("trunk_bn", "node_bn"):
             expected += [(f"layers.{i}.{bn}.running_mean", [6]), (f"layers.{i}.{bn}.running_var", [6])]
@@ -175,40 +173,76 @@ def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):
         load_checkpoint(path)
 
 
-def _write_v1(model, path, **knobs):
-    """``model`` saved as format version 1, which also stored the last
-    layer's edge head (here arbitrary floats) and two model knobs."""
+# Where versions 1 and 2 held a bias that version 3 drops: after the weight it followed.
+_OLD_BIAS_AFTER = {"trunk_w": "trunk_b", "head_e_w": "head_e_b", "node_w1": "node_b1"}
+
+
+def _write_old_version(model, path, version, **knobs):
+    """``model`` saved as format version 1 or 2, which also held trunk_b, node_b1 and head_e_b (here
+    arbitrary floats); version 1 also held the last layer's edge head and two model knobs. Returns
+    the file's tensors by name."""
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    c, total = model.config, header["total_floats"]
-    last = c.num_layers - 1
-    dead = [
-        {"name": f"layers.{last}.head_e_w", "shape": [c.mlp_hidden, c.out_dim], "offset": total},
-        {"name": f"layers.{last}.head_e_b", "shape": [c.out_dim], "offset": total + c.mlp_hidden * c.out_dim},
+    current = np.frombuffer(payload, dtype="<f8")
+    rng = np.random.default_rng(0)
+    c, last = model.config, f"layers.{model.config.num_layers - 1}."
+    tensors = {}
+    for e in header["tensors"]:
+        name, shape = e["name"], e["shape"]
+        tensors[name] = current[e["offset"] : e["offset"] + int(np.prod(shape))].reshape(shape)
+        layer, _, field = name.rpartition(".")
+        if field in _OLD_BIAS_AFTER:
+            tensors[f"{layer}.{_OLD_BIAS_AFTER[field]}"] = rng.normal(size=shape[1])
+        if version == 1 and name == last + "head_t_b":
+            tensors[last + "head_e_w"] = rng.normal(size=(c.mlp_hidden, c.out_dim))
+            tensors[last + "head_e_b"] = rng.normal(size=c.out_dim)
+    offsets = np.cumsum([0] + [a.size for a in tensors.values()])
+    header["tensors"] = [{"name": n, "shape": list(a.shape), "offset": int(o)} for (n, a), o in zip(tensors.items(), offsets)]
+    header["total_floats"] = int(offsets[-1])
+    header["format_version"] = version
+    if version == 1:
+        header["model_config"].update({"pool_include_trivial": True, "renormalize_embedding": True, **knobs})
+    _write_header(path, header, b"".join(a.astype("<f8").tobytes() for a in tensors.values()))
+    return tensors
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_file_keeps_its_eval_function(model, tmp_path, tiny_vocab, version):
+    """Each dropped bias is folded into the running mean it fed; the last layer's version 1 edge head is ignored."""
+    graphs = [
+        augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab),
+        augment_trivial(SceneGraph("b", (3, 1), ((1, 2, 0),)), tiny_vocab),
     ]
-    at = [e["name"] for e in header["tensors"]].index(f"layers.{last}.node_w1")
-    header["tensors"][at:at] = dead
-    header["total_floats"] = total + (c.mlp_hidden + 1) * c.out_dim
-    header["format_version"] = 1
-    header["model_config"].update({"pool_include_trivial": True, "renormalize_embedding": True, **knobs})
-    dead_floats = np.random.default_rng(0).normal(size=(c.mlp_hidden + 1) * c.out_dim)
-    _write_header(path, header, payload + dead_floats.astype("<f8").tobytes())
-
-
-def test_version_1_file_loads_as_version_2(model, tmp_path, tiny_vocab):
-    v1 = tmp_path / "v1.ckpt"
-    _write_v1(model, v1)
-    loaded, _ = load_checkpoint(v1)
-    assert models_equal(model, loaded)
-    graphs = [augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab)]
-    np.testing.assert_array_equal(embed_graphs(loaded, graphs), embed_graphs(model, graphs))
+    for _ in range(3):  # nonzero running means
+        forward(model, graphs, Mode.TRAIN)
+    path = tmp_path / "old.ckpt"
+    tensors = _write_old_version(model, path, version)
+    loaded, _ = load_checkpoint(path)
+    np.testing.assert_allclose(
+        embed_graphs(loaded, graphs), reference_embeddings(tensors, model.config.num_layers, graphs), rtol=0, atol=1e-12
+    )
+    assert all(np.array_equal(p.data, model.arrays()[name]) for name, p in loaded.parameters().items())
 
 
 @pytest.mark.parametrize("knob", ["pool_include_trivial", "renormalize_embedding"])
 def test_version_1_knob_other_than_true_refused(model, tmp_path, knob):
     path = tmp_path / "v1.ckpt"
-    _write_v1(model, path, **{knob: False})
+    _write_old_version(model, path, 1, **{knob: False})
     with pytest.raises(CheckpointError, match=knob):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "name", ["layers.0.trunk_b", "layers.0.head_e_b", "layers.1.node_b1", "layers.1.trunk_bn.running_mean"]
+)
+def test_old_version_file_without_an_entry_the_upgrade_needs(model, tmp_path, version, name):
+    path = tmp_path / "old.ckpt"
+    _write_old_version(model, path, version)
+    header, payload = _read_header(path)
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
+    _write_header(path, header, payload)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: version {version} checkpoint has no tensor {name}")):
         load_checkpoint(path)
 
 
@@ -216,7 +250,7 @@ def test_unknown_format_version_refused(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    header["format_version"] = 3
+    header["format_version"] = 4
     _write_header(path, header, payload)
-    with pytest.raises(CheckpointError, match="unsupported format version 3"):
+    with pytest.raises(CheckpointError, match="unsupported format version 4"):
         load_checkpoint(path)

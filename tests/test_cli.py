@@ -367,6 +367,22 @@ class TestExitCodes:
         assert last == f"DatasetFormatError: {ckpt}: vocabulary '{key}' must be a list of strings"
         assert not (out / "eval_report.json").exists()
 
+    def test_version_2_checkpoint_without_a_bias_it_held(self, pipeline, tmp_path, capsys):
+        blob = open(pipeline["ckpt"], "rb").read()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        header["format_version"] = 2
+        hidden = header["model_config"]["mlp_hidden"]
+        header["tensors"].append({"name": "layers.0.trunk_b", "shape": [hidden], "offset": header["total_floats"]})
+        header["total_floats"] += hidden  # and no layers.0.node_b1
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "v2.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :] + bytes(8 * hidden))
+        out = tmp_path / "e"
+        assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"CheckpointError: {ckpt}: version 2 checkpoint has no tensor layers.0.node_b1 of shape [{hidden}]"
+
     def test_error_is_single_machine_readable_line(self, tmp_path):
         r = run_cli(["stats", "--data", str(tmp_path / "nope")])
         lines = [l for l in r.stderr.splitlines() if l.strip()]

@@ -1,12 +1,13 @@
 """GCN invariants: gather semantics, message means, norms, permutation and
 batching invariance, end-to-end gradients."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import relative_gradient_error
+from conftest import reference_layer, relative_gradient_error
 from sgembed import tensor as T
 from sgembed.model import (
     BatchedGraph,
@@ -43,6 +44,13 @@ def test_last_edge_head_is_drawn_then_dropped(tiny_vocab):
         np.testing.assert_array_equal(p.data, deeper[name].data, err_msg=name)
 
 
+def test_seed_fixes_every_parameter(tiny_vocab):
+    """The bytes of every parameter a seed gives, in parameters() order: reordering a draw changes them."""
+    model = GcnModel.create(SMALL, tiny_vocab, seed=0)
+    digest = hashlib.sha256(b"".join(p.data.astype("<f8").tobytes() for p in model.parameters().values()))
+    assert digest.hexdigest() == "92d772a37b45be9ae1b4fbf601c1d4908fed61ba510fcaffd4e09a7fac875add"
+
+
 class TestEmbedInputs:
     def test_single_node_gathers_table_row(self, model, tiny_vocab):
         batch = BatchedGraph.from_graphs([SceneGraph("x", (0,), ())])
@@ -76,29 +84,16 @@ class TestLayerForward:
 
     def test_single_edge_source_receives_its_message_exactly(self, model):
         # With one edge u->v, node u's pooled vector is the mean of one
-        # message, i.e. the source message itself. Verify against a manual
-        # recomputation through the same layer weights in EVAL mode.
+        # message, i.e. the source message itself. Verify against the numpy
+        # reference layer through the same weights in EVAL mode.
         g = SceneGraph("x", (0, 1), ((0, 0, 1),))
         batch = BatchedGraph.from_graphs([g])
         nodes, edges = self._states(model, batch)
-        layer = model.layers[0]
-        new_nodes, _ = layer_forward(layer, nodes, edges, batch, Mode.EVAL)
+        new_nodes, _ = layer_forward(model.layers[0], nodes, edges, batch, Mode.EVAL)
 
-        trunk_in = np.concatenate([nodes.data[[0]], edges.data, nodes.data[[1]]], axis=1)
-        pre = trunk_in @ layer.trunk_w.data + layer.trunk_b.data
-        inv = 1.0 / np.sqrt(layer.trunk_bn.running_var + layer.trunk_bn.eps)
-        hidden = np.maximum(
-            (pre - layer.trunk_bn.running_mean) * inv * layer.trunk_gamma.data + layer.trunk_beta.data, 0.0
-        )
-        msg_to_src = hidden @ layer.head_s_w.data + layer.head_s_b.data
-        pre_n = msg_to_src @ layer.node_w1.data + layer.node_b1.data
-        inv_n = 1.0 / np.sqrt(layer.node_bn.running_var + layer.node_bn.eps)
-        act = np.maximum(
-            (pre_n - layer.node_bn.running_mean) * inv_n * layer.node_gamma.data + layer.node_beta.data, 0.0
-        )
-        out = act @ layer.node_w2.data + layer.node_b2.data
-        out = out / np.linalg.norm(out, axis=1, keepdims=True)
-        np.testing.assert_allclose(new_nodes.data[0], out[0], atol=1e-12)
+        src, tgt = batch.edge_src, batch.edge_tgt
+        expected, _ = reference_layer(model.arrays(), "layers.0.", nodes.data, edges.data, src, tgt)
+        np.testing.assert_allclose(new_nodes.data[0], expected[0], atol=1e-12)
 
     def test_two_identical_messages_average_to_the_message(self, model):
         # Parallel duplicate edges produce identical messages; a node whose

@@ -125,7 +125,8 @@ class TestTapeLifetime:
 
 
 def test_every_parameter_gets_a_gradient():
-    """Adam needs a gradient for every parameter: the model holds none that the loss does not reach."""
+    """Adam needs a gradient for every parameter: the model holds none that the loss does not reach,
+    and none that a TRAIN batchnorm cancels (a bias before one gets a max |grad| below 1e-17)."""
     ds = tiny_dataset()
     model = GcnModel.create(TINY_MODEL, ds.vocab, seed=0)
     sampler = TripleSampler(ds.similarity, SamplerConfig(), candidates=ds.split.train)
@@ -133,6 +134,7 @@ def test_every_parameter_gets_a_gradient():
     triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
     backward(_batch_loss(model, augmented, triples, LossConfig()))
     assert [name for name, p in model.parameters().items() if p.grad is None] == []
+    assert [name for name, p in model.parameters().items() if np.abs(p.grad).max() <= 1e-12] == []
 
 
 class TestDeterminism:
