@@ -6,8 +6,9 @@ config, the full vocabulary (so a checkpoint is self-contained), its
 hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
 buffers alike) and any extra run metadata the trainer wants to keep.
-Version 1 and 2 files, which also held the biases that batchnorm cancels,
-are read through one upgrade to version 3 (see _upgrade).
+Version 1 to 3 files, which also held a target-message bias (and, before
+version 3, the biases that batchnorm cancels), are read through one
+upgrade to version 4 (see _upgrade).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import GcnModel, ModelConfig
 from .scene import DatasetFormatError, Vocabulary
 
 MAGIC = b"SGEMBED1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 
 
@@ -146,18 +147,20 @@ def _model_config(path, values) -> ModelConfig:
 
 
 def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -> None:
-    """Rewrite a version 1 or 2 model_config and tensor directory in place as version 3.
+    """Rewrite a version 1, 2 or 3 model_config and tensor directory in place as version 4.
 
     Version 1 also held two config knobs, which must be true, and a last-layer edge head, which fed
-    nothing. Both held trunk_b, node_b1 and head_e_b (through the edge rows of the next trunk_w), each
-    feeding a batchnorm; subtracting it from that running mean keeps EVAL exact in real arithmetic.
+    nothing. Versions 1 and 2 held trunk_b, node_b1 and head_e_b (through the edge rows of the next
+    trunk_w), each feeding a batchnorm; subtracting it from that running mean keeps EVAL exact in
+    real arithmetic. Versions 1 to 3 held head_t_b: taking it from both message biases moves every
+    pooled row by -head_t_b, so head_s_b takes -head_t_b and the node running mean -head_t_b @ node_w1.
     """
     if version == 1:
         for knob in ("pool_include_trivial", "renormalize_embedding"):
             if isinstance(config_values, dict) and config_values.pop(knob, True) is not True:
                 raise CheckpointError(f"{path}: version 1 model_config {knob!r} must be true")
     config = _model_config(path, config_values)
-    hidden, out, last = config.mlp_hidden, config.out_dim, config.num_layers - 1
+    h, hidden, out, last = config.message_dim, config.mlp_hidden, config.out_dim, config.num_layers - 1
     if version == 1:
         for name in ("head_e_w", "head_e_b"):
             stored.pop(f"layers.{last}.{name}", None)
@@ -169,12 +172,18 @@ def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -
 
     for i in range(config.num_layers):
         layer = f"layers.{i}."
-        shift = needed(layer + "trunk_b", (hidden,), drop=True)
-        if i > 0:
-            edge_rows = needed(layer + "trunk_w", (3 * out, hidden))[out : 2 * out]
-            shift = shift + needed(f"layers.{i - 1}.head_e_b", (out,), drop=True) @ edge_rows
-        for bn, bias in (("trunk_bn", shift), ("node_bn", needed(layer + "node_b1", (hidden,), drop=True))):
-            stored[f"{layer}{bn}.running_mean"] = needed(f"{layer}{bn}.running_mean", (hidden,)) - bias
+        trunk_shift = node_shift = 0.0
+        if version < 3:
+            trunk_shift = needed(layer + "trunk_b", (hidden,), drop=True)
+            if i > 0:
+                edge_rows = needed(layer + "trunk_w", (3 * out, hidden))[out : 2 * out]
+                trunk_shift = trunk_shift + needed(f"layers.{i - 1}.head_e_b", (out,), drop=True) @ edge_rows
+            node_shift = needed(layer + "node_b1", (hidden,), drop=True)
+        head_t_b = needed(layer + "head_t_b", (h,), drop=True)
+        stored[layer + "head_s_b"] = needed(layer + "head_s_b", (h,)) - head_t_b
+        node_shift = node_shift + head_t_b @ needed(layer + "node_w1", (h, hidden))
+        for bn, shift in (("trunk_bn", trunk_shift), ("node_bn", node_shift)):
+            stored[f"{layer}{bn}.running_mean"] = needed(f"{layer}{bn}.running_mean", (hidden,)) - shift
 
 
 def _field(path, section: str, entry, key: str, kind: type):

@@ -9,7 +9,8 @@ MLP followed by row-wise l2 normalization. Graph embeddings are the mean
 of the final node states over each graph, re-normalized to unit length.
 The last layer has no edge head: its edge states would feed nothing.
 Each MLP starts with matmul, batchnorm, relu. That matmul has no bias, nor
-has the edge head, whose output reaches the next trunk's batchnorm.
+has the edge head, whose output reaches the next trunk's batchnorm, nor the
+target message: node batchnorm cancels a shift common to both messages.
 
 Minibatches are processed as one disjoint-union graph: node indices are
 offset per graph and a per-node graph id drives the pooling.
@@ -59,7 +60,6 @@ class GcnLayerParams:
     head_s_w: Tensor
     head_s_b: Tensor
     head_t_w: Tensor
-    head_t_b: Tensor
     head_e_w: Tensor | None  # None in the last layer
     node_w1: Tensor
     node_gamma: Tensor
@@ -75,7 +75,7 @@ class GcnLayerParams:
 
 
 def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
-    # He-uniform weights. The biases kept are head_s_b, head_t_b and node_b2;
+    # He-uniform weights. The biases kept are head_s_b and node_b2;
     # they are small-uniform rather than zero so that a row whose activations
     # all die still emits a safely-normalizable vector.
     w_bound = math.sqrt(6.0 / fan_in)
@@ -95,15 +95,17 @@ def _batchnorm(width: int) -> tuple[Tensor, Tensor, BatchNormState]:
 def _create_layer(rng, width_in: int, config: ModelConfig) -> GcnLayerParams:
     h, out, hidden = config.message_dim, config.out_dim, config.mlp_hidden
     # Draw order fixes the weights a seed gives; arguments follow the field order.
-    # The biases batchnorm cancels are drawn and dropped, like the last edge head.
+    # The biases batchnorm cancels are drawn and dropped, like the last edge head;
+    # head_t_b is folded into head_s_b, since node batchnorm cancels their common shift.
     trunk_w, _ = _linear(rng, 3 * width_in, hidden)
-    head_s = _linear(rng, hidden, h)
-    head_t = _linear(rng, hidden, h)
+    head_s_w, head_s_b = _linear(rng, hidden, h)
+    head_t_w, head_t_b = _linear(rng, hidden, h)
     head_e_w, _ = _linear(rng, hidden, out)
     node_w1, _ = _linear(rng, h, hidden)
     node_2 = _linear(rng, hidden, out)
+    head_s_b.data -= head_t_b.data
     return GcnLayerParams(
-        trunk_w, *_batchnorm(hidden), *head_s, *head_t, head_e_w, node_w1, *_batchnorm(hidden), *node_2
+        trunk_w, *_batchnorm(hidden), head_s_w, head_s_b, head_t_w, head_e_w, node_w1, *_batchnorm(hidden), *node_2
     )
 
 
@@ -228,7 +230,7 @@ def layer_forward(
     trunk_in = T.concat([src_states, edge_states, tgt_states], axis=1)
     hidden = _matmul_bn_relu(trunk_in, layer.trunk_w, layer.trunk_gamma, layer.trunk_beta, layer.trunk_bn, mode)
     msg_to_src = T.add(T.matmul(hidden, layer.head_s_w), layer.head_s_b)
-    msg_to_tgt = T.add(T.matmul(hidden, layer.head_t_w), layer.head_t_b)
+    msg_to_tgt = T.matmul(hidden, layer.head_t_w)
     new_edge_states = None if layer.head_e_w is None else T.matmul(hidden, layer.head_e_w)
 
     # Augmentation gives every node an incident edge, so no segment is empty.

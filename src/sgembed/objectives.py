@@ -12,7 +12,8 @@ instead of a hard one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +32,14 @@ class DegenerateDistributionError(ValueError):
     """A similarity row admits no valid draw (e.g. all zeros or all ones)."""
 
 
+def require_finite_floats(config) -> None:
+    """ValueError naming the first float field of a config dataclass that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(config).__name__}.{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossConfig:
     kind: str = "ranking"
@@ -39,6 +48,7 @@ class LossConfig:
     ranking_temperature: float = 1.0
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.margin < 0:
@@ -95,16 +105,17 @@ def ranking_target(s_ap, s_an):
 
 def ranking_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = 1.0) -> Tensor:
     """Mean cross-entropy between the ordering posterior and the soft target;
-    s_ap and s_an are scalars or length-B arrays. Evaluated in log-sigmoid
-    form, which stays finite for any gap size.
+    s_ap and s_an are scalars or length-B arrays.
+
+    t·logsigmoid(gap) + (1 - t)·logsigmoid(-gap) is evaluated as
+    logsigmoid(gap) - (1 - t)·gap, since logsigmoid(-z) = logsigmoid(z) - z:
+    one log-sigmoid, finite for any finite gap.
     """
     if nu <= 0:
         raise ValueError("ranking temperature must be positive")
     target = np.broadcast_to(ranking_target(s_ap, s_an), (f_a.shape[0],))
     gap = T.mul_scalar(T.sub(_dot(f_a, f_p), _dot(f_a, f_n)), 1.0 / nu)
-    per_row = T.add(
-        T.mul(T.logsigmoid(gap), Tensor(target)), T.mul(T.logsigmoid(T.mul_scalar(gap, -1.0)), Tensor(1.0 - target))
-    )
+    per_row = T.sub(T.logsigmoid(gap), T.mul(gap, Tensor(1.0 - target)))
     return _batch_mean(per_row, -1.0)
 
 

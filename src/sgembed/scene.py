@@ -206,8 +206,8 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def _node_index(value) -> int:
-    """A relationship endpoint as an int; DatasetFormatError for a boolean or a non-integral number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A relationship endpoint (a JSON int or integral float) as an int; DatasetFormatError for anything else."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise DatasetFormatError(f"relationship endpoint {value!r} is not an integer")
     return int(value)
 

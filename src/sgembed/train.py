@@ -22,7 +22,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .evaluate import evaluate
 from .model import GcnModel, ModelConfig, forward
-from .objectives import LossConfig, SamplerConfig, TripleSampler, compute_loss
+from .objectives import LossConfig, SamplerConfig, TripleSampler, compute_loss, require_finite_floats
 from .optim import AdamState, adam_step
 from .scene import Dataset, augment_trivial
 from .tensor import Mode, backward
@@ -47,6 +47,7 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("epochs must be >= 0, batch_size and learning_rate positive")
         if self.checkpoint_every < 0 or self.eval_every <= 0:

@@ -108,7 +108,6 @@ def test_tensor_directory_layout_is_fixed(model, tmp_path):
         ("head_s_w", [6, 4]),
         ("head_s_b", [4]),
         ("head_t_w", [6, 4]),
-        ("head_t_b", [4]),
         ("head_e_w", [6, 3]),
         ("node_w1", [4, 6]),
         ("node_gamma", [6]),
@@ -173,14 +172,20 @@ def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):
         load_checkpoint(path)
 
 
-# Where versions 1 and 2 held a bias that version 3 drops: after the weight it followed.
-_OLD_BIAS_AFTER = {"trunk_w": "trunk_b", "head_e_w": "head_e_b", "node_w1": "node_b1"}
+# Where older versions held a bias that version 4 lacks: after the weight it followed, in every
+# version before the one given.
+_OLD_BIAS_AFTER = {
+    "trunk_w": ("trunk_b", 3),
+    "head_t_w": ("head_t_b", 4),
+    "head_e_w": ("head_e_b", 3),
+    "node_w1": ("node_b1", 3),
+}
 
 
 def _write_old_version(model, path, version, **knobs):
-    """``model`` saved as format version 1 or 2, which also held trunk_b, node_b1 and head_e_b (here
-    arbitrary floats); version 1 also held the last layer's edge head and two model knobs. Returns
-    the file's tensors by name."""
+    """``model`` saved as format version 1, 2 or 3, which also held head_t_b, and before version 3
+    trunk_b, node_b1 and head_e_b (here arbitrary floats); version 1 also held the last layer's edge
+    head and two model knobs. Returns the file's tensors by name."""
     save_checkpoint(model, path)
     header, payload = _read_header(path)
     current = np.frombuffer(payload, dtype="<f8")
@@ -191,9 +196,10 @@ def _write_old_version(model, path, version, **knobs):
         name, shape = e["name"], e["shape"]
         tensors[name] = current[e["offset"] : e["offset"] + int(np.prod(shape))].reshape(shape)
         layer, _, field = name.rpartition(".")
-        if field in _OLD_BIAS_AFTER:
-            tensors[f"{layer}.{_OLD_BIAS_AFTER[field]}"] = rng.normal(size=shape[1])
-        if version == 1 and name == last + "head_t_b":
+        bias, dropped_in = _OLD_BIAS_AFTER.get(field, (None, 0))
+        if version < dropped_in:
+            tensors[f"{layer}.{bias}"] = rng.normal(size=shape[1])
+        if version == 1 and name == last + "head_t_w":
             tensors[last + "head_e_w"] = rng.normal(size=(c.mlp_hidden, c.out_dim))
             tensors[last + "head_e_b"] = rng.normal(size=c.out_dim)
     offsets = np.cumsum([0] + [a.size for a in tensors.values()])
@@ -206,9 +212,10 @@ def _write_old_version(model, path, version, **knobs):
     return tensors
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_version_file_keeps_its_eval_function(model, tmp_path, tiny_vocab, version):
-    """Each dropped bias is folded into the running mean it fed; the last layer's version 1 edge head is ignored."""
+    """Each dropped bias is folded into the running mean it fed, head_t_b also into head_s_b; the last
+    layer's version 1 edge head is ignored."""
     graphs = [
         augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab),
         augment_trivial(SceneGraph("b", (3, 1), ((1, 2, 0),)), tiny_vocab),
@@ -221,7 +228,9 @@ def test_old_version_file_keeps_its_eval_function(model, tmp_path, tiny_vocab, v
     np.testing.assert_allclose(
         embed_graphs(loaded, graphs), reference_embeddings(tensors, model.config.num_layers, graphs), rtol=0, atol=1e-12
     )
-    assert all(np.array_equal(p.data, model.arrays()[name]) for name, p in loaded.parameters().items())
+    for name, p in loaded.parameters().items():
+        expected = tensors[name] - tensors[name.replace("head_s_b", "head_t_b")] if name.endswith("head_s_b") else tensors[name]
+        np.testing.assert_array_equal(p.data, expected, err_msg=name)
 
 
 @pytest.mark.parametrize("knob", ["pool_include_trivial", "renormalize_embedding"])
@@ -232,10 +241,19 @@ def test_version_1_knob_other_than_true_refused(model, tmp_path, knob):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-@pytest.mark.parametrize(
-    "name", ["layers.0.trunk_b", "layers.0.head_e_b", "layers.1.node_b1", "layers.1.trunk_bn.running_mean"]
-)
+# (tensor the upgrade reads, version whose files hold it)
+_UPGRADE_READS = [
+    *[(name, v) for name in ("layers.0.trunk_b", "layers.0.head_e_b", "layers.1.node_b1") for v in (1, 2)],
+    *[
+        (name, v)
+        for name in ("layers.0.head_t_b", "layers.1.head_t_b", "layers.1.head_s_b", "layers.1.node_w1")
+        + ("layers.1.trunk_bn.running_mean", "layers.0.node_bn.running_mean")
+        for v in (1, 2, 3)
+    ],
+]
+
+
+@pytest.mark.parametrize("name, version", _UPGRADE_READS)
 def test_old_version_file_without_an_entry_the_upgrade_needs(model, tmp_path, version, name):
     path = tmp_path / "old.ckpt"
     _write_old_version(model, path, version)
@@ -250,7 +268,7 @@ def test_unknown_format_version_refused(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    header["format_version"] = 4
+    header["format_version"] = 5
     _write_header(path, header, payload)
-    with pytest.raises(CheckpointError, match="unsupported format version 4"):
+    with pytest.raises(CheckpointError, match="unsupported format version 5"):
         load_checkpoint(path)

@@ -188,6 +188,23 @@ class TestConfigFile:
         assert main(["train", "--data", pipeline["data"], "--config", str(config), "--out", str(tmp_path)]) == EXIT_BAD_DATA
         assert "learning_rate" in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "text, culprit",
+        [
+            ('{"learning_rate": NaN}', "TrainConfig.learning_rate must be finite, got nan"),
+            ('{"ranking_temperature": Infinity}', "LossConfig.ranking_temperature must be finite, got inf"),
+            ('{"margin": -Infinity}', "LossConfig.margin must be finite, got -inf"),
+        ],
+        ids=["learning_rate_nan", "ranking_temperature_inf", "margin_minus_inf"],
+    )
+    def test_non_finite_float_refused_before_any_output(self, pipeline, tmp_path, capsys, text, culprit):
+        config = tmp_path / "train.json"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--data", pipeline["data"], "--config", str(config), "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: {culprit}"
+        assert not out.exists()
+
     def test_missing_config_file_exit_code(self, tmp_path):
         r = run_cli(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert r.returncode == EXIT_MISSING_FILE
@@ -281,6 +298,20 @@ class TestExitCodes:
         )
         assert main([*command[:-1], f"{flag}={value}", *inputs, "--out", str(out)]) == EXIT_BAD_DATA
         assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: {flag} {culprit} is not a non-negative integer"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, culprit",
+        [
+            ("--ranking-temperature", "inf", "LossConfig.ranking_temperature must be finite, got inf"),
+            ("--learning-rate", "nan", "TrainConfig.learning_rate must be finite, got nan"),
+        ],
+        ids=["ranking_temperature_inf", "learning_rate_nan"],
+    )
+    def test_non_finite_float_flag_names_the_field(self, pipeline, tmp_path, capsys, flag, value, culprit):
+        out = tmp_path / "run"
+        assert main(["train", "--data", pipeline["data"], flag, value, "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: {culprit}"
         assert not out.exists()
 
     def test_negative_seed_in_config_file_names_the_flag(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from sgembed.model import (
     pool,
 )
 from sgembed.scene import SceneGraph, augment_trivial
+from sgembed.synth import SynthConfig, generate
 from sgembed.tensor import EmptySegmentError, IndexRangeError, Mode, Tensor
 
 SMALL = ModelConfig(label_dim=6, message_dim=5, out_dim=4, num_layers=2, mlp_hidden=7)
@@ -48,7 +49,14 @@ def test_seed_fixes_every_parameter(tiny_vocab):
     """The bytes of every parameter a seed gives, in parameters() order: reordering a draw changes them."""
     model = GcnModel.create(SMALL, tiny_vocab, seed=0)
     digest = hashlib.sha256(b"".join(p.data.astype("<f8").tobytes() for p in model.parameters().values()))
-    assert digest.hexdigest() == "92d772a37b45be9ae1b4fbf601c1d4908fed61ba510fcaffd4e09a7fac875add"
+    assert digest.hexdigest() == "26cf6e0114b375d8c0cdf52d906004e7221a2d6cca619769b4da3e473317c1c2"
+
+
+def test_acceptance_model_size():
+    """The 2-layer acceptance model holds 25 parameter tensors, 46,080 floats on the default synthetic vocabulary."""
+    config = ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64)
+    params = GcnModel.create(config, generate(SynthConfig()).vocab, seed=0).parameters()
+    assert (len(params), sum(p.data.size for p in params.values())) == (25, 46_080)
 
 
 class TestEmbedInputs:

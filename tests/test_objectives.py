@@ -390,6 +390,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LossConfig(ranking_temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["margin", "infonce_temperature", "ranking_temperature"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_loss_config_refuses_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"^LossConfig.{field} must be finite, got {value!r}$"):
+            LossConfig(**{field: value})
+
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(kind="nope")

@@ -80,8 +80,12 @@ class TestLoading:
         with pytest.raises(DatasetFormatError, match="self-loop"):
             load_dataset(*write_fixture(tmp_path, bad, SIM, VOCAB))
 
-    @pytest.mark.parametrize("subject, obj", [("0.9", "1.2"), ("true", "0"), ("0", "true"), ("1.5", "0")])
+    @pytest.mark.parametrize(
+        "subject, obj",
+        [("0.9", "1.2"), ("true", "0"), ("0", "true"), ("1.5", "0"), ('"1"', "0"), ("0", '" 1"'), ("null", "1"), ("[0]", "1")],
+    )
     def test_non_integral_or_boolean_endpoint_rejected(self, tmp_path, subject, obj):
+        """Only a JSON int or an integral float is a node index: not a fraction, a boolean, a string, null or a list."""
         edge = '"subject": 0, "predicate": "throwing", "object": 1'
         bad = GRAPHS.replace(edge, f'"subject": {subject}, "predicate": "throwing", "object": {obj}')
         with pytest.raises(DatasetFormatError, match=r"graphs\.jsonl:1: relationship endpoint .* is not an integer"):

@@ -70,6 +70,11 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match="split"):
             train(ds, tiny_config())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_refuses_a_non_finite_learning_rate(self, value):
+        with pytest.raises(ValueError, match=f"^TrainConfig.learning_rate must be finite, got {value!r}$"):
+            TrainConfig(learning_rate=value)
+
     def test_runlog_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset()
         _, log = train(ds, tiny_config(epochs=3))
