@@ -5,7 +5,8 @@ header, then the concatenated tensor data. The header stores the model
 config, the full vocabulary (so a checkpoint is self-contained), its
 hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
-buffers alike) and any extra run metadata the trainer wants to keep.
+buffers alike, tiling the payload in order) and any extra run metadata
+the trainer wants to keep.
 Version 1 to 3 files, which also held a target-message bias (and, before
 version 3, the biases that batchnorm cancels), are read through one
 upgrade to version 4 (see _upgrade).
@@ -19,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import GcnModel, ModelConfig
+from .model import GcnModel, ModelConfig, array_shapes
 from .scene import DatasetFormatError, Vocabulary
 
 MAGIC = b"SGEMBED1"
@@ -109,33 +110,46 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             f"{path}: checkpoint vocabulary hash {header['vocab_hash'][:12]}... does not match the dataset"
         )
 
-    model = GcnModel.create(config, vocab, seed=0)
-    arrays = model.arrays()
-    if set(stored) != set(arrays):
+    # Checked before the model is allocated: the header's model_config alone can ask for any size.
+    expected = array_shapes(config, vocab)
+    if set(stored) != set(expected):
         raise CheckpointError(f"{path}: tensor directory does not match the model structure")
-    for name, arr in arrays.items():
-        got = stored[name]
-        if got.shape != arr.shape:
-            raise CheckpointError(f"{path}: tensor {name} has shape {list(got.shape)}, model expects {list(arr.shape)}")
-        np.copyto(arr, got)
+    for name, shape in expected.items():
+        if stored[name].shape != shape:
+            got = list(stored[name].shape)
+            raise CheckpointError(f"{path}: tensor {name} has shape {got}, model expects {list(shape)}")
+    model = GcnModel.create(config, vocab, seed=0)
+    for name, arr in model.arrays().items():
+        np.copyto(arr, stored[name])
     return model, extra
 
 
 def _stored_tensors(path, directory, payload: np.ndarray) -> dict[str, np.ndarray]:
-    """The header's tensor directory as name -> view of the payload."""
+    """The header's tensor directory as name -> view of the payload.
+
+    The entries tile the payload: no name repeats, each starts where the one
+    before it ends, and the last ends where the payload does.
+    """
     if not isinstance(directory, list):
         raise CheckpointError(f"{path}: malformed 'tensors': not a JSON list")
-    stored = {}
+    stored, end = {}, 0
     for entry in directory:
         name = _field(path, "tensors", entry, "name", str)
         shape = _field(path, "tensors", entry, "shape", list)
         if not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointError(f"{path}: tensor {name} has shape {shape}, not a list of sizes")
         start = _field(path, "tensors", entry, "offset", int)
-        size = math.prod(shape)
-        if not 0 <= start <= payload.size - size:
-            raise CheckpointError(f"{path}: tensor {name} offset {start} lies outside the payload")
-        stored[name] = payload[start : start + size].reshape(shape)
+        if name in stored:
+            raise CheckpointError(f"{path}: tensor {name} is listed twice")
+        if start != end:
+            raise CheckpointError(f"{path}: tensor {name} offset {start} is not {end}, where the tensor before it ends")
+        end += math.prod(shape)
+        if end > payload.size:
+            raise CheckpointError(f"{path}: tensor {name} ends at {end}, past the payload's {payload.size} floats")
+        stored[name] = payload[start:end].reshape(shape)
+    if end != payload.size:
+        last = next(reversed(stored), None)
+        raise CheckpointError(f"{path}: the payload holds {payload.size - end} floats after the last tensor, {last}")
     return stored
 
 

@@ -26,7 +26,6 @@ from .evaluate import (
     random_unit_embeddings,
     retrieval_experiment,
     write_eval_report_csv,
-    write_eval_report_json,
     write_ranks_csv,
     write_recall_curve_csv,
     write_retrieval_csv,
@@ -41,8 +40,10 @@ from .objectives import (
     LOSS_KINDS,
     SAMPLER_KINDS,
 )
-from .scene import Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, save_dataset, split_dataset
-from .synth import SynthConfig, dataset_stats, generate, write_stats
+from .scene import (
+    Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, save_dataset, split_dataset, write_json
+)
+from .synth import SynthConfig, dataset_stats, generate
 from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_USAGE = 2
@@ -105,10 +106,8 @@ def _merged(file_values: dict, args, keys) -> dict:
 
 
 def _write_resolved_config(args, out: str, values: dict) -> None:
-    """resolved_config.json: the subcommand's name and ``values``, keys sorted."""
-    with open(os.path.join(out, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        json.dump({"command": args.command, **values}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """resolved_config.json: the subcommand's name and ``values``."""
+    write_json({"command": args.command, **values}, os.path.join(out, "resolved_config.json"))
 
 
 def _dataset_paths(data_dir: str) -> tuple[str, str, str]:
@@ -198,7 +197,7 @@ def _cmd_gen_data(args) -> int:
     graphs_path, sim_path, vocab_path = _dataset_paths(out)
     save_dataset(dataset, graphs_path, sim_path, vocab_path)
     stats = dataset_stats(dataset)
-    write_stats(stats, os.path.join(out, "stats.json"))
+    write_json(stats, os.path.join(out, "stats.json"))
     _write_resolved_config(args, out, values)
     print(f"wrote {len(dataset.graphs)} graphs to {out} (median edges: {stats['median_edges']})")
     return 0
@@ -264,7 +263,7 @@ def _cmd_eval(args) -> int:
         dataset.similarity.values[np.ix_(list(indices), list(indices))],
     )
     reports = {"model": report, "normal_features": baseline}
-    write_eval_report_json(reports, os.path.join(out, "eval_report.json"))
+    write_json({name: r.to_dict() for name, r in reports.items()}, os.path.join(out, "eval_report.json"))
     write_eval_report_csv(reports, os.path.join(out, "eval_report.csv"))
     _write_checkpoint_provenance(args, out, seed=seed)
     tau = report.row_wise["kendall_tau"]
@@ -319,7 +318,8 @@ def _cmd_stats(args) -> int:
     print(json.dumps(stats, indent=1, sort_keys=True))
     if args.out:
         out = _out_dir(args)
-        write_stats(stats, os.path.join(out, "stats.json"))
+        write_json(stats, os.path.join(out, "stats.json"))
+        _write_resolved_config(args, out, {})
     return 0
 
 

@@ -9,14 +9,12 @@ average ranks for ties.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .model import GcnModel, embed_graphs
-from .scene import Dataset, augment_trivial, corrupt
+from .scene import Dataset, augment_trivial, corrupt, write_csv
 
 RECALL_KS = (1, 5, 10, 20, 50)
 _QUERY_BLOCK = 256  # queries scored per matmul: the score block is _QUERY_BLOCK x index size
@@ -153,12 +151,7 @@ class EvalReport:
     row_coverage: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "n_images": self.n_images,
-            "row_wise": self.row_wise,
-            "all_pairs": self.all_pairs,
-            "row_coverage": self.row_coverage,
-        }
+        return asdict(self)
 
 
 def evaluate_embeddings(embeddings: np.ndarray, sim_values: np.ndarray) -> EvalReport:
@@ -219,14 +212,6 @@ class RetrievalReport:
     mrr: float
     recall_at: dict[int, float]
     ranks: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "noise_level": self.noise_level,
-            "mrr": self.mrr,
-            "recall_at": {str(k): v for k, v in self.recall_at.items()},
-            "ranks": list(self.ranks),
-        }
 
 
 def rank_queries(index_embeddings: np.ndarray, query_embeddings: np.ndarray, targets) -> tuple[int, ...]:
@@ -299,54 +284,40 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else "%.6f" % v
 
 
-def write_eval_report_json(reports: dict[str, EvalReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({name: r.to_dict() for name, r in reports.items()}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+_METRIC_COLUMNS = ["mrr"] + [f"r_at_{k}" for k in RECALL_KS]
+
+
+def _metric_cells(report: RetrievalReport) -> list[str]:
+    """A retrieval report's values under _METRIC_COLUMNS."""
+    return [_fmt(report.mrr)] + [_fmt(report.recall_at[k]) for k in RECALL_KS]
 
 
 def write_eval_report_csv(reports: dict[str, EvalReport], path) -> None:
     """Rows of scope,metric,value; scope is e.g. 'model.row_wise'."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "metric", "value"])
-        for name in sorted(reports):
-            report = reports[name]
-            for scope, metrics in (("row_wise", report.row_wise), ("all_pairs", report.all_pairs)):
-                for metric in METRIC_NAMES:
-                    writer.writerow([f"{name}.{scope}", metric, _fmt(metrics[metric])])
+    rows = (
+        [f"{name}.{scope}", metric, _fmt(getattr(reports[name], scope)[metric])]
+        for name in sorted(reports)
+        for scope in ("row_wise", "all_pairs")
+        for metric in METRIC_NAMES
+    )
+    write_csv(path, ["scope", "metric", "value"], rows)
 
 
 def write_retrieval_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "mrr"] + [f"r_at_{k}" for k in RECALL_KS])
-        for r in reports:
-            writer.writerow([r.noise_level, _fmt(r.mrr)] + [_fmt(r.recall_at[k]) for k in RECALL_KS])
+    write_csv(path, ["M", *_METRIC_COLUMNS], ([r.noise_level, *_metric_cells(r)] for r in reports))
 
 
 def write_sweep_csv(rows, path) -> None:
     """rows: iterable of (seed, RetrievalReport)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "seed", "mrr"] + [f"r_at_{k}" for k in RECALL_KS])
-        for seed, r in rows:
-            writer.writerow([r.noise_level, seed, _fmt(r.mrr)] + [_fmt(r.recall_at[k]) for k in RECALL_KS])
+    write_csv(path, ["M", "seed", *_METRIC_COLUMNS], ([r.noise_level, seed, *_metric_cells(r)] for seed, r in rows))
 
 
 def write_ranks_csv(report: RetrievalReport, image_ids, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "rank"])
-        for image_id, rank in zip(image_ids, report.ranks):
-            writer.writerow([image_id, rank])
+    write_csv(path, ["image_id", "rank"], zip(image_ids, report.ranks))
 
 
 def write_recall_curve_csv(report: RetrievalReport, path) -> None:
     """Recall at every k from 1 to the index size, for recall-vs-k plots."""
     n = len(report.ranks)
     hits = np.cumsum(np.bincount(report.ranks, minlength=n + 1)[1 : n + 1])  # ranks <= k, for k = 1..n
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "recall"])
-        writer.writerows([k, _fmt(float(h / n))] for k, h in enumerate(hits, 1))
+    write_csv(path, ["k", "recall"], ([k, _fmt(float(h / n))] for k, h in enumerate(hits, 1)))

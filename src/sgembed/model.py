@@ -152,6 +152,21 @@ class GcnModel:
         return arrays
 
 
+def array_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """The names and shapes of GcnModel.create(config, vocab).arrays(), in order, without allocating them."""
+    d, h, out, hidden, n = config.label_dim, config.message_dim, config.out_dim, config.mlp_hidden, config.num_layers
+    shapes = {"object_table": (len(vocab.object_labels), d), "relationship_table": (len(vocab.relationship_labels), d)}
+    for i in range(n):
+        edge_head = {"head_e_w": (hidden, out)} if i < n - 1 else {}
+        layer = {"trunk_w": (3 * (d if i == 0 else out), hidden), "trunk_gamma": (hidden,), "trunk_beta": (hidden,)}
+        layer |= {"head_s_w": (hidden, h), "head_s_b": (h,), "head_t_w": (hidden, h), **edge_head}
+        layer |= {"node_w1": (h, hidden), "node_gamma": (hidden,), "node_beta": (hidden,)}
+        layer |= {"node_w2": (hidden, out), "node_b2": (out,)}
+        shapes |= {f"layers.{i}.{name}": shape for name, shape in layer.items()}
+    buffers = [f"{bn}.running_{stat}" for bn in ("trunk_bn", "node_bn") for stat in ("mean", "var")]
+    return shapes | {f"layers.{i}.{name}": (hidden,) for i in range(n) for name in buffers}
+
+
 @dataclass
 class BatchedGraph:
     """Disjoint union of a minibatch of graphs with batch-offset indices."""

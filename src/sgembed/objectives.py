@@ -130,13 +130,14 @@ def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = 0.5) -> 
 def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = 1.0) -> Tensor:
     """Mean two-way softmax loss on the positive vs negative similarity.
 
-    -log(e^(ap/t) / (e^(ap/t) + e^(an/t))) == -logsigmoid((ap - an)/t),
-    which is the stabilized log-sum-exp form for the two-candidate case.
+    -log(e^(ap/t) / (e^(ap/t) + e^(an/t))) == -logsigmoid((ap - an)/t): the
+    ranking loss with the hard target 1 (s_ap = 1, s_an = 0), where its
+    logsigmoid(gap) - (1 - target)·gap is logsigmoid(gap). The paper's
+    soft-target ranking loss thus generalises two-way InfoNCE.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    gap = T.mul_scalar(T.sub(_dot(f_a, f_p), _dot(f_a, f_n)), 1.0 / temperature)
-    return _batch_mean(T.logsigmoid(gap), -1.0)
+    return ranking_loss(f_a, f_p, f_n, 1.0, 0.0, temperature)
 
 
 # loss kind -> mean loss of a batch under a LossConfig and its similarity arrays, in --loss help order

@@ -10,6 +10,10 @@ File formats:
              strings; the reserved labels are appended on load when absent.
   similarity CSV; first row lists the image ids in dataset order, then an
              NxN block of floats formatted "%.6f".
+
+Every JSON document and CSV file the pipeline writes goes through write_json
+(UTF-8, indent 1, keys sorted, a trailing newline) or write_csv (UTF-8, the
+csv module's default dialect: comma-separated, CRLF line ends).
 """
 
 from __future__ import annotations
@@ -195,14 +199,23 @@ def load_vocabulary(path) -> Vocabulary:
         raise DatasetFormatError(f"{path}: {e}") from None
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
+def write_json(obj, path) -> None:
+    """``obj`` as a JSON document: UTF-8, indent 1, keys sorted, a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)},
-            fh,
-            indent=1,
-        )
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``, as UTF-8 CSV in the csv module's default dialect (CRLF line ends)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_vocabulary(vocab: Vocabulary, path) -> None:
+    write_json({"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)}, path)
 
 
 def _node_index(value) -> int:
@@ -284,11 +297,7 @@ def load_similarity(path) -> SimilarityMatrix:
 
 
 def save_similarity(sim: SimilarityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sim.image_ids)
-        for row in sim.values:
-            writer.writerow(["%.6f" % v for v in row])
+    write_csv(path, sim.image_ids, (["%.6f" % v for v in row] for row in sim.values))
 
 
 def load_dataset(graphs_path, similarity_path, vocab_path) -> Dataset:

@@ -11,7 +11,6 @@ near-uniform supervision regime the ranking objective is designed for.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,9 +170,3 @@ def dataset_stats(dataset: Dataset) -> dict:
             "counts": diffs_hist.tolist(),
         },
     }
-
-
-def write_stats(stats: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -10,7 +10,6 @@ reason.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import time
@@ -24,7 +23,7 @@ from .evaluate import evaluate
 from .model import GcnModel, ModelConfig, forward
 from .objectives import LossConfig, SamplerConfig, TripleSampler, compute_loss, require_finite_floats
 from .optim import AdamState, adam_step
-from .scene import Dataset, augment_trivial
+from .scene import Dataset, augment_trivial, write_csv
 from .tensor import Mode, backward
 
 logger = logging.getLogger(__name__)
@@ -64,16 +63,13 @@ class RunLogEntry:
 
 def write_runlog(entries, out_dir) -> None:
     """runlog.csv carries the deterministic columns; timing.csv the wall times."""
-    with open(os.path.join(out_dir, "runlog.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "val_kendall_tau"])
-        for e in entries:
-            writer.writerow([e.epoch, repr(e.mean_loss), "" if e.val_kendall_tau is None else repr(e.val_kendall_tau)])
-    with open(os.path.join(out_dir, "timing.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "seconds"])
-        for e in entries:
-            writer.writerow([e.epoch, "%.3f" % e.seconds])
+    write_csv(
+        os.path.join(out_dir, "runlog.csv"),
+        ["epoch", "mean_loss", "val_kendall_tau"],
+        ([e.epoch, repr(e.mean_loss), "" if e.val_kendall_tau is None else repr(e.val_kendall_tau)] for e in entries),
+    )
+    timing = ([e.epoch, "%.3f" % e.seconds] for e in entries)
+    write_csv(os.path.join(out_dir, "timing.csv"), ["epoch", "seconds"], timing)
 
 
 def _batch_loss(model: GcnModel, augmented, triples, loss_config) -> T.Tensor:
@@ -116,6 +112,17 @@ def train(
     )
     augmented = {i: augment_trivial(dataset.graphs[i], dataset.vocab) for i in train_idx}
 
+    def checkpoint(name: str, epoch: int, val_tau: float | None) -> None:
+        record = {
+            "epoch": epoch,
+            "val_kendall_tau": val_tau,
+            "train_seed": config.seed,
+            "loss_kind": config.loss.kind,
+            "sampler_kind": config.sampler.kind,
+            **(extra or {}),
+        }
+        save_checkpoint(model, os.path.join(out_dir, name), extra=record)
+
     entries: list[RunLogEntry] = []
     best_tau = None
     for epoch in range(1, config.epochs + 1):
@@ -155,31 +162,15 @@ def train(
         if out_dir is not None:
             if val_tau is not None and (best_tau is None or val_tau > best_tau):
                 best_tau = val_tau
-                save_checkpoint(model, os.path.join(out_dir, "best.ckpt"), extra=_extra(config, epoch, val_tau, extra))
+                checkpoint("best.ckpt", epoch, val_tau)
             if config.checkpoint_every and epoch % config.checkpoint_every == 0:
-                save_checkpoint(
-                    model,
-                    os.path.join(out_dir, f"epoch_{epoch:04d}.ckpt"),
-                    extra=_extra(config, epoch, val_tau, extra),
-                )
+                checkpoint(f"epoch_{epoch:04d}.ckpt", epoch, val_tau)
 
     if out_dir is not None:
-        save_checkpoint(model, os.path.join(out_dir, "last.ckpt"), extra=_extra(config, config.epochs, None, extra))
+        checkpoint("last.ckpt", config.epochs, None)
         if best_tau is None:
             # No validation split: the last model is also the best known one.
-            save_checkpoint(model, os.path.join(out_dir, "best.ckpt"), extra=_extra(config, config.epochs, None, extra))
+            checkpoint("best.ckpt", config.epochs, None)
         write_runlog(entries, out_dir)
     return model, entries
 
-
-def _extra(config: TrainConfig, epoch: int, val_tau: float | None, user_extra: dict | None) -> dict:
-    record = {
-        "epoch": epoch,
-        "val_kendall_tau": val_tau,
-        "train_seed": config.seed,
-        "loss_kind": config.loss.kind,
-        "sampler_kind": config.sampler.kind,
-    }
-    if user_extra:
-        record.update(user_extra)
-    return record

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ def _write_header(path, header, payload):
     path.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
 
 
+def _write_tensors(path, header, tensors):
+    """``header`` with a directory and payload holding ``tensors`` (name -> array) in order."""
+    offsets = np.cumsum([0] + [a.size for a in tensors.values()])
+    header["tensors"] = [{"name": n, "shape": list(a.shape), "offset": int(o)} for (n, a), o in zip(tensors.items(), offsets)]
+    header["total_floats"] = int(offsets[-1])
+    _write_header(path, header, b"".join(np.asarray(a, dtype="<f8").tobytes() for a in tensors.values()))
+
+
 def test_tensor_directory_layout_is_fixed(model, tmp_path):
     """The names, shapes and order of a 2-layer model's tensors are the file format."""
     path = tmp_path / "m.ckpt"
@@ -143,6 +152,11 @@ _MALFORMED = [
     ("tensors_not_list", lambda h: h.update(tensors={}), "tensors"),
     *[(f"tensor_no_{k}", lambda h, k=k: h["tensors"][0].pop(k), k) for k in ("name", "shape", "offset")],
     ("tensor_offset_outside_payload", lambda h: h["tensors"][-1].update(offset=h["total_floats"]), "offset"),
+    # the directory must tile the payload in order
+    ("tensor_overlaps_the_one_before", lambda h: h["tensors"][1].update(offset=0), "relationship_table"),
+    ("tensor_after_a_gap", lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 1), "relationship_table"),
+    ("tensor_listed_twice", lambda h: h["tensors"].insert(1, dict(h["tensors"][0])), "object_table"),
+    ("payload_after_the_last_tensor", lambda h: h["tensors"].pop(), "layers.1.node_bn.running_mean"),
     ("extra_not_object", lambda h: h.update(extra=[]), "extra"),
 ]
 
@@ -170,6 +184,24 @@ def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):
     _write_header(path, header, payload)
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: vocabulary '{key}' must be a list of strings")):
         load_checkpoint(path)
+
+
+def test_oversized_model_config_refused_before_allocating(tiny_vocab, tmp_path):
+    """A 1-layer width-4 file whose header asks for mlp_hidden 400000 is refused by its tensor
+    directory, without allocating the model that config describes (about 125 MiB)."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(GcnModel.create(ModelConfig(4, 4, 4, 1, 4), tiny_vocab), path)
+    header, payload = _read_header(path)
+    header["model_config"]["mlp_hidden"] = 400_000
+    _write_header(path, header, payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=re.escape("tensor layers.0.trunk_w has shape [12, 4], model expects")):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Where older versions held a bias that version 4 lacks: after the weight it followed, in every
@@ -202,13 +234,10 @@ def _write_old_version(model, path, version, **knobs):
         if version == 1 and name == last + "head_t_w":
             tensors[last + "head_e_w"] = rng.normal(size=(c.mlp_hidden, c.out_dim))
             tensors[last + "head_e_b"] = rng.normal(size=c.out_dim)
-    offsets = np.cumsum([0] + [a.size for a in tensors.values()])
-    header["tensors"] = [{"name": n, "shape": list(a.shape), "offset": int(o)} for (n, a), o in zip(tensors.items(), offsets)]
-    header["total_floats"] = int(offsets[-1])
     header["format_version"] = version
     if version == 1:
         header["model_config"].update({"pool_include_trivial": True, "renormalize_embedding": True, **knobs})
-    _write_header(path, header, b"".join(a.astype("<f8").tobytes() for a in tensors.values()))
+    _write_tensors(path, header, tensors)
     return tensors
 
 
@@ -256,10 +285,10 @@ _UPGRADE_READS = [
 @pytest.mark.parametrize("name, version", _UPGRADE_READS)
 def test_old_version_file_without_an_entry_the_upgrade_needs(model, tmp_path, version, name):
     path = tmp_path / "old.ckpt"
-    _write_old_version(model, path, version)
-    header, payload = _read_header(path)
-    header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
-    _write_header(path, header, payload)
+    tensors = _write_old_version(model, path, version)
+    header, _ = _read_header(path)
+    del tensors[name]
+    _write_tensors(path, header, tensors)
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: version {version} checkpoint has no tensor {name}")):
         load_checkpoint(path)
 

@@ -122,6 +122,16 @@ class TestPipeline:
         stats = json.loads(r.stdout)
         assert stats["n_images"] == 24
 
+    def test_stats_writes_files_only_with_out(self, pipeline, tmp_path, monkeypatch):
+        """--out gives stats.json and resolved_config.json; $SGEMBED_OUT_DIR alone gives nothing."""
+        monkeypatch.setenv("SGEMBED_OUT_DIR", str(tmp_path / "env"))
+        assert main(["stats", "--data", pipeline["data"]]) == 0
+        assert not (tmp_path / "env").exists()
+        out = tmp_path / "out"
+        assert main(["stats", "--data", pipeline["data"], "--out", str(out)]) == 0
+        assert json.loads((out / "stats.json").read_text())["n_images"] == 24
+        assert json.loads((out / "resolved_config.json").read_text()) == {"command": "stats"}
+
     def test_retrieve_is_idempotent_byte_identical(self, pipeline, tmp_path):
         outs = [str(tmp_path / f"r{i}") for i in (1, 2)]
         for out in outs:
@@ -413,6 +423,31 @@ class TestExitCodes:
         assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"CheckpointError: {ckpt}: version 2 checkpoint has no tensor layers.0.node_b1 of shape [{hidden}]"
+
+    @pytest.mark.parametrize(
+        "mutate, tensor",
+        [
+            (lambda h: h["tensors"][1].update(offset=0), "relationship_table"),
+            (lambda h: h["tensors"].insert(1, dict(h["tensors"][0])), "object_table"),
+            (lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] + 1), "layers.0.trunk_w"),
+            (lambda h: h["model_config"].update(mlp_hidden=400_000), "layers.0.trunk_w"),
+        ],
+        ids=["overlap", "duplicate", "gap", "oversized_model_config"],
+    )
+    def test_misfit_tensor_directory_names_the_tensor(self, pipeline, tmp_path, capsys, mutate, tensor):
+        """Exit 5 for a directory that does not tile the payload or does not fit the header's model_config."""
+        blob = open(pipeline["ckpt"], "rb").read()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        mutate(header)
+        raw = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
+        out = tmp_path / "e"
+        assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"CheckpointError: {ckpt}: tensor {tensor} ")
+        assert not out.exists()
 
     def test_error_is_single_machine_readable_line(self, tmp_path):
         r = run_cli(["stats", "--data", str(tmp_path / "nope")])

@@ -13,6 +13,7 @@ from sgembed.model import (
     BatchedGraph,
     GcnModel,
     ModelConfig,
+    array_shapes,
     embed_graphs,
     embed_inputs,
     forward,
@@ -57,6 +58,17 @@ def test_acceptance_model_size():
     config = ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64)
     params = GcnModel.create(config, generate(SynthConfig()).vocab, seed=0).parameters()
     assert (len(params), sum(p.data.size for p in params.values())) == (25, 46_080)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SMALL, ModelConfig(3, 4, 5, 1, 2), ModelConfig(2, 3, 4, 3, 5), ModelConfig(32, 64, 32, 2, 64)],
+    ids=["small", "one_layer", "three_layers", "acceptance"],
+)
+def test_array_shapes_match_a_created_model(tiny_vocab, config):
+    """array_shapes is GcnModel.create(...).arrays() by name, shape and order, computed without a model."""
+    arrays = GcnModel.create(config, tiny_vocab, seed=0).arrays()
+    assert list(array_shapes(config, tiny_vocab).items()) == [(name, a.shape) for name, a in arrays.items()]
 
 
 class TestEmbedInputs:
