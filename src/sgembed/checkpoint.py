@@ -21,14 +21,14 @@ from dataclasses import asdict
 import numpy as np
 
 from .model import GcnModel, ModelConfig, array_shapes
-from .scene import DatasetFormatError, Vocabulary
+from .scene import DatasetFormatError, Vocabulary, reading
 
 MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 4
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DatasetFormatError):
     """The file is not a readable checkpoint of the expected version."""
 
 
@@ -66,101 +66,97 @@ def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    header_len = int.from_bytes(raw[8:16], "little")
-    if len(raw) < 16 + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header: {e}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
-    version = header.get("format_version")
-    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    for key in _REQUIRED_KEYS:
-        if key not in header:
-            raise CheckpointError(f"{path}: header has no {key!r}")
-    extra = header.get("extra", {})
-    if not isinstance(extra, dict):
-        raise CheckpointError(f"{path}: malformed 'extra': not a JSON object")
-    payload = np.frombuffer(raw[16 + header_len :], dtype="<f8")
-    if payload.size != header["total_floats"]:
-        raise CheckpointError(
-            f"{path}: truncated payload ({payload.size} floats, expected {header['total_floats']})"
-        )
-    stored = _stored_tensors(path, header["tensors"], payload)
-    if version < FORMAT_VERSION:
-        _upgrade(path, version, header["model_config"], stored)
+    with reading(path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if len(raw) < 16 or raw[:8] != MAGIC:
+            raise CheckpointError("not a checkpoint file (bad magic)")
+        header_len = int.from_bytes(raw[8:16], "little")
+        if len(raw) < 16 + header_len:
+            raise CheckpointError("truncated header")
+        try:
+            header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise CheckpointError(f"corrupt header: {e}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt header: not a JSON object")
+        version = header.get("format_version")
+        if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
+            raise CheckpointError(f"unsupported format version {version}")
+        for key in _REQUIRED_KEYS:
+            if key not in header:
+                raise CheckpointError(f"header has no {key!r}")
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise CheckpointError("malformed 'extra': not a JSON object")
+        payload_bytes = len(raw) - 16 - header_len
+        if payload_bytes / 8 != header["total_floats"]:  # also refuses a length frombuffer would
+            raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {header['total_floats']} floats of 8)")
+        stored = _stored_tensors(header["tensors"], np.frombuffer(raw, dtype="<f8", offset=16 + header_len))
+        if version < FORMAT_VERSION:
+            _upgrade(version, header["model_config"], stored)
 
-    config = _model_config(path, header["model_config"])
-    objects, relationships = (_field(path, "vocab", header["vocab"], key, list) for key in ("objects", "relationships"))
-    try:
-        vocab = Vocabulary(objects, relationships)
-    except DatasetFormatError as e:
-        raise DatasetFormatError(f"{path}: {e}") from None
-    if vocab.content_hash() != header["vocab_hash"]:
-        raise CheckpointError(f"{path}: header vocabulary does not match its recorded hash")
-    if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
-        raise CheckpointHashMismatch(
-            f"{path}: checkpoint vocabulary hash {header['vocab_hash'][:12]}... does not match the dataset"
-        )
+        config = _model_config(header["model_config"])
+        vocab = Vocabulary(*(_field("vocab", header["vocab"], key, list) for key in ("objects", "relationships")))
+        if vocab.content_hash() != header["vocab_hash"]:
+            raise CheckpointError("header vocabulary does not match its recorded hash")
+        if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
+            raise CheckpointHashMismatch(
+                f"checkpoint vocabulary hash {header['vocab_hash'][:12]}... does not match the dataset"
+            )
 
-    # Checked before the model is allocated: the header's model_config alone can ask for any size.
-    expected = array_shapes(config, vocab)
-    if set(stored) != set(expected):
-        raise CheckpointError(f"{path}: tensor directory does not match the model structure")
-    for name, shape in expected.items():
-        if stored[name].shape != shape:
-            got = list(stored[name].shape)
-            raise CheckpointError(f"{path}: tensor {name} has shape {got}, model expects {list(shape)}")
-    model = GcnModel.create(config, vocab, seed=0)
+        # Checked before the model is allocated: the header's model_config alone can ask for any size.
+        if config.num_layers > len(stored):  # each layer holds tensors; array_shapes would walk them all
+            raise CheckpointError(f"model_config 'num_layers' {config.num_layers} exceeds the tensor directory")
+        expected = array_shapes(config, vocab)
+        if set(stored) != set(expected):
+            raise CheckpointError("tensor directory does not match the model structure")
+        for name, shape in expected.items():
+            if stored[name].shape != shape:
+                raise CheckpointError(f"tensor {name} has shape {list(stored[name].shape)}, model expects {list(shape)}")
+        model = GcnModel.create(config, vocab, seed=0)
     for name, arr in model.arrays().items():
         np.copyto(arr, stored[name])
     return model, extra
 
 
-def _stored_tensors(path, directory, payload: np.ndarray) -> dict[str, np.ndarray]:
+def _stored_tensors(directory, payload: np.ndarray) -> dict[str, np.ndarray]:
     """The header's tensor directory as name -> view of the payload.
 
     The entries tile the payload: no name repeats, each starts where the one
     before it ends, and the last ends where the payload does.
     """
     if not isinstance(directory, list):
-        raise CheckpointError(f"{path}: malformed 'tensors': not a JSON list")
+        raise CheckpointError("malformed 'tensors': not a JSON list")
     stored, end = {}, 0
     for entry in directory:
-        name = _field(path, "tensors", entry, "name", str)
-        shape = _field(path, "tensors", entry, "shape", list)
+        name = _field("tensors", entry, "name", str)
+        shape = _field("tensors", entry, "shape", list)
         if not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"{path}: tensor {name} has shape {shape}, not a list of sizes")
-        start = _field(path, "tensors", entry, "offset", int)
+            raise CheckpointError(f"tensor {name} has shape {shape}, not a list of sizes")
+        start = _field("tensors", entry, "offset", int)
         if name in stored:
-            raise CheckpointError(f"{path}: tensor {name} is listed twice")
+            raise CheckpointError(f"tensor {name} is listed twice")
         if start != end:
-            raise CheckpointError(f"{path}: tensor {name} offset {start} is not {end}, where the tensor before it ends")
+            raise CheckpointError(f"tensor {name} offset {start} is not {end}, where the tensor before it ends")
         end += math.prod(shape)
         if end > payload.size:
-            raise CheckpointError(f"{path}: tensor {name} ends at {end}, past the payload's {payload.size} floats")
+            raise CheckpointError(f"tensor {name} ends at {end}, past the payload's {payload.size} floats")
         stored[name] = payload[start:end].reshape(shape)
     if end != payload.size:
         last = next(reversed(stored), None)
-        raise CheckpointError(f"{path}: the payload holds {payload.size - end} floats after the last tensor, {last}")
+        raise CheckpointError(f"the payload holds {payload.size - end} floats after the last tensor, {last}")
     return stored
 
 
-def _model_config(path, values) -> ModelConfig:
+def _model_config(values) -> ModelConfig:
     try:
         return ModelConfig(**values)
     except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed 'model_config': {e}") from None
+        raise CheckpointError(f"malformed 'model_config': {e}") from None
 
 
-def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -> None:
+def _upgrade(version: int, config_values, stored: dict[str, np.ndarray]) -> None:
     """Rewrite a version 1, 2 or 3 model_config and tensor directory in place as version 4.
 
     Version 1 also held two config knobs, which must be true, and a last-layer edge head, which fed
@@ -172,8 +168,8 @@ def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -
     if version == 1:
         for knob in ("pool_include_trivial", "renormalize_embedding"):
             if isinstance(config_values, dict) and config_values.pop(knob, True) is not True:
-                raise CheckpointError(f"{path}: version 1 model_config {knob!r} must be true")
-    config = _model_config(path, config_values)
+                raise CheckpointError(f"version 1 model_config {knob!r} must be true")
+    config = _model_config(config_values)
     h, hidden, out, last = config.message_dim, config.mlp_hidden, config.out_dim, config.num_layers - 1
     if version == 1:
         for name in ("head_e_w", "head_e_b"):
@@ -181,7 +177,7 @@ def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -
 
     def needed(name: str, shape: tuple, drop: bool = False) -> np.ndarray:
         if name not in stored or stored[name].shape != shape:
-            raise CheckpointError(f"{path}: version {version} checkpoint has no tensor {name} of shape {list(shape)}")
+            raise CheckpointError(f"version {version} checkpoint has no tensor {name} of shape {list(shape)}")
         return stored.pop(name) if drop else stored[name]
 
     for i in range(config.num_layers):
@@ -200,9 +196,9 @@ def _upgrade(path, version: int, config_values, stored: dict[str, np.ndarray]) -
             stored[f"{layer}{bn}.running_mean"] = needed(f"{layer}{bn}.running_mean", (hidden,)) - shift
 
 
-def _field(path, section: str, entry, key: str, kind: type):
+def _field(section: str, entry, key: str, kind: type):
     """entry[key] of a header section, checked to be a ``kind``."""
     if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
-        raise CheckpointError(f"{path}: malformed {section!r}: not an object with a {kind.__name__} {key!r}")
+        raise CheckpointError(f"malformed {section!r}: not an object with a {kind.__name__} {key!r}")
     return entry[key]
 

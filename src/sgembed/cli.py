@@ -41,7 +41,7 @@ from .objectives import (
     SAMPLER_KINDS,
 )
 from .scene import (
-    Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, save_dataset, split_dataset, write_json
+    Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, reading, save_dataset, split_dataset, write_json
 )
 from .synth import SynthConfig, dataset_stats, generate
 from .train import TrainConfig, TrainingDivergedError, train
@@ -58,18 +58,18 @@ VOCAB_FILE = "vocabulary.json"
 DEFAULT_SPLIT_RATIOS = (0.7, 0.2, 0.1)
 DEFAULT_SPLIT_SEED = 0
 
-# code -> (meaning, exception classes), in the order main matches them: 4 and 6
-# come before 5 because CheckpointHashMismatch and DegenerateDistributionError are ValueErrors.
+# code -> (meaning, exception classes), in the order main matches them: 4 and 6 come before 5
+# because CheckpointHashMismatch is a DatasetFormatError and DegenerateDistributionError a ValueError.
 _EXIT_CODES = {
     0: ("success", ()),
     EXIT_USAGE: ("usage error (unknown flag or bad value)", ()),
-    EXIT_MISSING_FILE: ("a referenced input file or directory is missing", (FileNotFoundError,)),
+    EXIT_MISSING_FILE: ("a referenced input file is missing or is a directory", (FileNotFoundError, IsADirectoryError)),
     EXIT_HASH_MISMATCH: ("checkpoint vocabulary-hash mismatch", (CheckpointHashMismatch,)),
     EXIT_RUNTIME: (
         "runtime failure (exhausted sampler, diverged training)",
         (SamplerExhaustedError, DegenerateDistributionError, TrainingDivergedError),
     ),
-    EXIT_BAD_DATA: ("malformed dataset, config or checkpoint contents", (DatasetFormatError, CheckpointError, ValueError)),
+    EXIT_BAD_DATA: ("malformed dataset, config or checkpoint contents", (DatasetFormatError, ValueError)),
     1: ("unexpected internal error", (Exception,)),
 }
 
@@ -85,13 +85,13 @@ def _out_dir(args) -> str:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        try:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"{path}: invalid config JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise DatasetFormatError(f"{path}: config must be a JSON object")
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"invalid config JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise DatasetFormatError("config must be a JSON object")
     return raw
 
 
@@ -235,16 +235,17 @@ def _checkpoint_inputs(args):
     """
     dataset = _load_data(args.data)
     model, extra = load_checkpoint(args.checkpoint, expected_vocab_hash=dataset.vocab.content_hash())
-    seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
-    if type(seed) is not int or seed < 0:
-        raise CheckpointError(f"{args.checkpoint}: malformed 'split_seed': {seed!r} is not a non-negative integer")
+    with reading(args.checkpoint):
+        seed = extra.get("split_seed", DEFAULT_SPLIT_SEED)
+        if type(seed) is not int or seed < 0:
+            raise CheckpointError(f"malformed 'split_seed': {seed!r} is not a non-negative integer")
+        ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
+        try:
+            check_split_ratios(ratios)
+        except ValueError as e:
+            raise CheckpointError(f"malformed 'split_ratios': {e}") from None
     if args.split_seed is not None:
         seed = _non_negative("split_seed", args.split_seed)
-    ratios = extra.get("split_ratios", DEFAULT_SPLIT_RATIOS)
-    try:
-        check_split_ratios(ratios)
-    except ValueError as e:
-        raise CheckpointError(f"{args.checkpoint}: malformed 'split_ratios': {e}") from None
     indices = split_dataset(dataset, tuple(ratios), seed).indices(args.split)
     return dataset, model, indices, _out_dir(args)
 

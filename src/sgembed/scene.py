@@ -5,11 +5,14 @@ File formats:
   graphs     JSON Lines, one image per line:
              {"image_id": ..., "objects": [{"label": ...}, ...],
               "relationships": [{"subject": i, "predicate": ..., "object": j}, ...]}
-             where i and j are integral node indices (not booleans).
+             where the image id is a string, no object carries the reserved
+             label __image__, and i and j are integral node indices (not booleans).
   vocabulary JSON {"objects": [...], "relationships": [...]}, two lists of
              strings; the reserved labels are appended on load when absent.
   similarity CSV; first row lists the image ids in dataset order, then an
              NxN block of floats formatted "%.6f".
+Each loader reads under reading(), so a refusal names its file (path:line for
+a graphs record, both files when graphs and similarity disagree).
 
 Every JSON document and CSV file the pipeline writes goes through write_json
 (UTF-8, indent 1, keys sorted, a trailing newline) or write_csv (UTF-8, the
@@ -24,6 +27,7 @@ import json
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,7 +37,17 @@ TRIVIAL_EDGE_LABEL = "__in_image__"
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates its documented format."""
+    """An input file violates its documented format."""
+
+
+@contextmanager
+def reading(culprit):
+    """Put ``culprit: `` before the message of a DatasetFormatError raised inside, keeping its class;
+    an undecodable byte raises one too. Blocks do not nest, so a message names one culprit."""
+    try:
+        yield
+    except (DatasetFormatError, UnicodeDecodeError) as e:
+        raise (type(e) if isinstance(e, DatasetFormatError) else DatasetFormatError)(f"{culprit}: {e}") from None
 
 
 class UnknownLabelError(DatasetFormatError):
@@ -113,10 +127,14 @@ class SceneGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def validate(self, vocab: Vocabulary) -> None:
+        if not isinstance(self.image_id, str):
+            raise DatasetFormatError(f"image_id {self.image_id!r} is not a string")
         n = len(self.nodes)
         for label in self.nodes:
             if not 0 <= label < len(vocab.object_labels):
                 raise UnknownLabelError(f"{self.image_id}: object label index {label} out of range")
+        if vocab._object_index.get(TRIVIAL_NODE_LABEL) in self.nodes:
+            raise DatasetFormatError(f"{self.image_id}: object label {TRIVIAL_NODE_LABEL!r} is reserved for the image node")
         for src, rel, tgt in self.edges:
             if not (0 <= src < n and 0 <= tgt < n):
                 raise DatasetFormatError(f"{self.image_id}: edge endpoint out of range")
@@ -186,17 +204,14 @@ class Dataset:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"{path}: invalid vocabulary JSON: {e}") from None
-    if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
-        raise DatasetFormatError(f"{path}: vocabulary must map 'objects' and 'relationships' to lists")
-    try:
+            raise DatasetFormatError(f"invalid vocabulary JSON: {e}") from None
+        if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
+            raise DatasetFormatError("vocabulary must map 'objects' and 'relationships' to lists")
         return Vocabulary(raw["objects"], raw["relationships"]).with_reserved()
-    except DatasetFormatError as e:
-        raise DatasetFormatError(f"{path}: {e}") from None
 
 
 def write_json(obj, path) -> None:
@@ -227,39 +242,35 @@ def _node_index(value) -> int:
 
 def load_graphs(path, vocab: Vocabulary) -> tuple[SceneGraph, ...]:
     graphs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            try:
-                image_id = rec["image_id"]
-                objects = rec["objects"]
-                relationships = rec.get("relationships", [])
-            except (KeyError, TypeError):
-                raise DatasetFormatError(f"{path}:{lineno}: record missing image_id/objects") from None
-            if not objects:
-                raise DatasetFormatError(f"{path}:{lineno}: image {image_id!r} has no objects")
-            try:
-                nodes = tuple(vocab.object_index(o["label"]) for o in objects)
-                edges = tuple(
-                    (_node_index(r["subject"]), vocab.relationship_index(r["predicate"]), _node_index(r["object"]))
-                    for r in relationships
-                )
-            except DatasetFormatError as e:
-                raise type(e)(f"{path}:{lineno}: {e}") from None
-            except (KeyError, TypeError, ValueError):
-                raise DatasetFormatError(f"{path}:{lineno}: malformed object/relationship record") from None
-            g = SceneGraph(image_id, nodes, edges)
-            try:
+            with reading(f"{fh.name}:{lineno}"):
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetFormatError(f"invalid JSON: {e}") from None
+                try:
+                    image_id = rec["image_id"]
+                    objects = rec["objects"]
+                    relationships = rec.get("relationships", [])
+                except (KeyError, TypeError):
+                    raise DatasetFormatError("record missing image_id/objects") from None
+                if not objects:
+                    raise DatasetFormatError(f"image {image_id!r} has no objects")
+                try:
+                    nodes = tuple(vocab.object_index(o["label"]) for o in objects)
+                    edges = tuple(
+                        (_node_index(r["subject"]), vocab.relationship_index(r["predicate"]), _node_index(r["object"]))
+                        for r in relationships
+                    )
+                except (KeyError, TypeError):
+                    raise DatasetFormatError("malformed object/relationship record") from None
+                g = SceneGraph(image_id, nodes, edges)
                 g.validate(vocab)
-            except DatasetFormatError as e:
-                raise DatasetFormatError(f"{path}:{lineno}: {e}") from None
-            graphs.append(g)
+                graphs.append(g)
     return tuple(graphs)
 
 
@@ -278,22 +289,22 @@ def save_graphs(graphs, vocab: Vocabulary, path) -> None:
 
 
 def load_similarity(path) -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
-            raise DatasetFormatError(f"{path}: empty similarity file")
+            raise DatasetFormatError("empty similarity file")
         try:
             # A header-only file has an empty body, which the shape check reports.
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         except ValueError as e:
-            raise DatasetFormatError(f"{path}: malformed similarity body: {e}") from None
-    n = len(header)
-    if values.shape != (n, n):
-        body = f"{values.shape[0]}x{values.shape[1]}" if values.size else "empty"
-        raise DimensionMismatchError(f"{path}: header lists {n} images but the body is {body}")
-    return SimilarityMatrix(tuple(header), values)
+            raise DatasetFormatError(f"malformed similarity body: {e}") from None
+        n = len(header)
+        if values.shape != (n, n):
+            body = f"{values.shape[0]}x{values.shape[1]}" if values.size else "empty"
+            raise DimensionMismatchError(f"header lists {n} images but the body is {body}")
+        return SimilarityMatrix(tuple(header), values)
 
 
 def save_similarity(sim: SimilarityMatrix, path) -> None:
@@ -304,7 +315,8 @@ def load_dataset(graphs_path, similarity_path, vocab_path) -> Dataset:
     vocab = load_vocabulary(vocab_path)
     graphs = load_graphs(graphs_path, vocab)
     sim = load_similarity(similarity_path)
-    return Dataset(graphs, sim, vocab)
+    with reading(f"{graphs_path}, {similarity_path}"):
+        return Dataset(graphs, sim, vocab)
 
 
 def save_dataset(dataset: Dataset, graphs_path, similarity_path, vocab_path) -> None:

@@ -16,7 +16,7 @@ from sgembed.checkpoint import (
     save_checkpoint,
 )
 from sgembed.model import GcnModel, ModelConfig, embed_graphs, forward
-from sgembed.scene import DatasetFormatError, SceneGraph, Vocabulary, augment_trivial
+from sgembed.scene import DatasetFormatError, SceneGraph, UnknownLabelError, Vocabulary, augment_trivial
 from sgembed.tensor import Mode
 
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
@@ -46,6 +46,29 @@ def test_truncated_file_detected(model, tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 64])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 3, 7, 9])
+def test_payload_cut_short_names_the_file(model, tmp_path, cut):
+    """A payload whose length is not a multiple of 8 bytes is refused like any other short payload."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated payload"):
+        load_checkpoint(path)
+
+
+def test_header_vocabulary_without_the_image_label_names_the_file(model, tmp_path):
+    """A vocabulary whose hash fits but that lacks the reserved image-node label."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    objects = ["image" if label == "__image__" else label for label in header["vocab"]["objects"]]
+    header["vocab"]["objects"] = objects
+    header["vocab_hash"] = Vocabulary(objects, header["vocab"]["relationships"]).content_hash()
+    _write_header(path, header, payload)
+    with pytest.raises(UnknownLabelError, match=f"^{re.escape(str(path))}: unknown object label '__image__'$"):
         load_checkpoint(path)
 
 
@@ -145,6 +168,7 @@ _MALFORMED = [
     ("num_layers_fractional", lambda h: h["model_config"].update(num_layers=2.5), "num_layers"),
     ("label_dim_float", lambda h: h["model_config"].update(label_dim=5.0), "label_dim"),
     ("num_layers_bool", lambda h: h["model_config"].update(num_layers=True), "num_layers"),
+    ("num_layers_past_the_directory", lambda h: h["model_config"].update(num_layers=10**5), "num_layers"),
     ("model_config_not_object", lambda h: h.update(model_config=[2]), "model_config"),
     ("vocab_empty", lambda h: h.update(vocab={}), "objects"),
     ("vocab_not_object", lambda h: h.update(vocab=["cat"]), "vocab"),

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -219,6 +220,14 @@ class TestConfigFile:
         r = run_cli(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert r.returncode == EXIT_MISSING_FILE
 
+    def test_undecodable_config_file_names_it(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_bytes(b'{"seed": 1, "x": "\xff"}')
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data")]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"DatasetFormatError: {config}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "data").exists()
+
 
 class TestExitCodes:
     def test_missing_data_dir(self, tmp_path):
@@ -336,6 +345,7 @@ class TestExitCodes:
         "error, code",
         [
             (FileNotFoundError, EXIT_MISSING_FILE),
+            (IsADirectoryError, EXIT_MISSING_FILE),
             (CheckpointHashMismatch, EXIT_HASH_MISMATCH),
             (SamplerExhaustedError, EXIT_RUNTIME),
             (DegenerateDistributionError, EXIT_RUNTIME),
@@ -447,6 +457,68 @@ class TestExitCodes:
         assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"CheckpointError: {ckpt}: tensor {tensor} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["gen-data", "--config"], ["eval", "--data", None, "--checkpoint"]], ids=["config", "checkpoint"]
+    )
+    def test_directory_given_for_a_file(self, pipeline, tmp_path, capsys, command):
+        argv = [pipeline["data"] if a is None else a for a in command] + [str(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_MISSING_FILE
+        assert capsys.readouterr().err.splitlines()[-1].startswith("IsADirectoryError: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, culprit, error, message",
+        [
+            *[
+                (name, edit, culprit, "DatasetFormatError", "'utf-8' codec can't decode byte 0xff")
+                for name, edit, culprit in [
+                    ("graphs.jsonl", lambda b: b + b"\xff\n", "graphs.jsonl:25"),
+                    ("similarity.csv", lambda b: b"\xff" + b, "similarity.csv"),
+                    ("vocabulary.json", lambda b: b + b"\xff", "vocabulary.json"),
+                ]
+            ],
+            *[
+                ("similarity.csv", lambda b, v=v: b.replace(b"1.000000", v, 1), "similarity.csv", "DatasetFormatError", message)
+                for v, message in [
+                    (b"1.5", "similarity entries must lie in [0, 1]"),
+                    (b"-0.1", "similarity entries must lie in [0, 1]"),
+                    (b"nan", "similarity contains non-finite entries"),
+                ]
+            ],
+            ("graphs.jsonl", lambda b: b"".join(b.splitlines(True)[:-1]), "graphs.jsonl, similarity.csv",
+             "DimensionMismatchError", "23 graphs but similarity is over 24 images"),
+            ("graphs.jsonl", lambda b: b"".join(b.splitlines(True)[1::-1] + b.splitlines(True)[2:]),
+             "graphs.jsonl, similarity.csv", "DatasetFormatError", "graph order mismatch at image 'img_00001'"),
+            ("graphs.jsonl", lambda b: b.replace(b'"image_id":"img_00000"', b'"image_id":1.5', 1), "graphs.jsonl:1",
+             "DatasetFormatError", "image_id 1.5 is not a string"),
+            ("graphs.jsonl", lambda b: b.replace(b'"label":"', b'"label":"__image__","x":"', 1), "graphs.jsonl:1",
+             "DatasetFormatError", "img_00000: object label '__image__' is reserved for the image node"),
+        ],
+        ids=[
+            "graphs_not_utf8", "similarity_not_utf8", "vocabulary_not_utf8", "similarity_above_1", "similarity_negative",
+            "similarity_nan", "graphs_one_record_short", "graphs_out_of_order", "image_id_not_a_string",
+            "reserved_object_label",
+        ],
+    )
+    def test_refused_dataset_file_is_named(self, pipeline, tmp_path, capsys, name, edit, culprit, error, message):
+        """Exit 5 with a message that begins with the refused file, file:line for a graphs record, and
+        both files when graphs and similarity disagree."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / name).write_bytes(edit((data / name).read_bytes()))
+        assert main(["stats", "--data", str(data)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"{error}: {', '.join(f'{data}/{c}' for c in culprit.split(', '))}: {message}")
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_checkpoint_cut_short_names_the_file(self, pipeline, tmp_path, capsys, cut):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(open(pipeline["ckpt"], "rb").read()[:-cut])
+        out = tmp_path / "e"
+        assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"CheckpointError: {ckpt}: truncated payload")
         assert not out.exists()
 
     def test_error_is_single_machine_readable_line(self, tmp_path):
