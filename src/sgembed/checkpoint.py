@@ -7,9 +7,9 @@ hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
 buffers alike, tiling the payload in order) and any extra run metadata
 the trainer wants to keep.
-Version 1 to 3 files, which also held a target-message bias (and, before
-version 3, the biases that batchnorm cancels), are read through one
-upgrade to version 4 (see _upgrade).
+
+Only FORMAT_VERSION is read. A change to the tensor layout bumps it, and
+files of any other version are then refused, not upgraded.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         if not isinstance(header, dict):
             raise CheckpointError("corrupt header: not a JSON object")
         version = header.get("format_version")
-        if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
-            raise CheckpointError(f"unsupported format version {version}")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported format version {version!r}; only version {FORMAT_VERSION} is read")
         for key in _REQUIRED_KEYS:
             if key not in header:
                 raise CheckpointError(f"header has no {key!r}")
@@ -93,8 +93,6 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         if payload_bytes / 8 != header["total_floats"]:  # also refuses a length frombuffer would
             raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {header['total_floats']} floats of 8)")
         stored = _stored_tensors(header["tensors"], np.frombuffer(raw, dtype="<f8", offset=16 + header_len))
-        if version < FORMAT_VERSION:
-            _upgrade(version, header["model_config"], stored)
 
         config = _model_config(header["model_config"])
         vocab = Vocabulary(*(_field("vocab", header["vocab"], key, list) for key in ("objects", "relationships")))
@@ -154,46 +152,6 @@ def _model_config(values) -> ModelConfig:
         return ModelConfig(**values)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"malformed 'model_config': {e}") from None
-
-
-def _upgrade(version: int, config_values, stored: dict[str, np.ndarray]) -> None:
-    """Rewrite a version 1, 2 or 3 model_config and tensor directory in place as version 4.
-
-    Version 1 also held two config knobs, which must be true, and a last-layer edge head, which fed
-    nothing. Versions 1 and 2 held trunk_b, node_b1 and head_e_b (through the edge rows of the next
-    trunk_w), each feeding a batchnorm; subtracting it from that running mean keeps EVAL exact in
-    real arithmetic. Versions 1 to 3 held head_t_b: taking it from both message biases moves every
-    pooled row by -head_t_b, so head_s_b takes -head_t_b and the node running mean -head_t_b @ node_w1.
-    """
-    if version == 1:
-        for knob in ("pool_include_trivial", "renormalize_embedding"):
-            if isinstance(config_values, dict) and config_values.pop(knob, True) is not True:
-                raise CheckpointError(f"version 1 model_config {knob!r} must be true")
-    config = _model_config(config_values)
-    h, hidden, out, last = config.message_dim, config.mlp_hidden, config.out_dim, config.num_layers - 1
-    if version == 1:
-        for name in ("head_e_w", "head_e_b"):
-            stored.pop(f"layers.{last}.{name}", None)
-
-    def needed(name: str, shape: tuple, drop: bool = False) -> np.ndarray:
-        if name not in stored or stored[name].shape != shape:
-            raise CheckpointError(f"version {version} checkpoint has no tensor {name} of shape {list(shape)}")
-        return stored.pop(name) if drop else stored[name]
-
-    for i in range(config.num_layers):
-        layer = f"layers.{i}."
-        trunk_shift = node_shift = 0.0
-        if version < 3:
-            trunk_shift = needed(layer + "trunk_b", (hidden,), drop=True)
-            if i > 0:
-                edge_rows = needed(layer + "trunk_w", (3 * out, hidden))[out : 2 * out]
-                trunk_shift = trunk_shift + needed(f"layers.{i - 1}.head_e_b", (out,), drop=True) @ edge_rows
-            node_shift = needed(layer + "node_b1", (hidden,), drop=True)
-        head_t_b = needed(layer + "head_t_b", (h,), drop=True)
-        stored[layer + "head_s_b"] = needed(layer + "head_s_b", (h,)) - head_t_b
-        node_shift = node_shift + head_t_b @ needed(layer + "node_w1", (h, hidden))
-        for bn, shift in (("trunk_bn", trunk_shift), ("node_bn", node_shift)):
-            stored[f"{layer}{bn}.running_mean"] = needed(f"{layer}{bn}.running_mean", (hidden,)) - shift
 
 
 def _field(section: str, entry, key: str, kind: type):

@@ -63,7 +63,10 @@ DEFAULT_SPLIT_SEED = 0
 _EXIT_CODES = {
     0: ("success", ()),
     EXIT_USAGE: ("usage error (unknown flag or bad value)", ()),
-    EXIT_MISSING_FILE: ("a referenced input file is missing or is a directory", (FileNotFoundError, IsADirectoryError)),
+    EXIT_MISSING_FILE: (
+        "a referenced path is missing, or is a directory where a file is expected, or the reverse",
+        (FileNotFoundError, IsADirectoryError, NotADirectoryError),
+    ),
     EXIT_HASH_MISMATCH: ("checkpoint vocabulary-hash mismatch", (CheckpointHashMismatch,)),
     EXIT_RUNTIME: (
         "runtime failure (exhausted sampler, diverged training)",
@@ -78,7 +81,10 @@ _EPILOG = "exit codes:\n" + "".join(f"  {code}  {meaning}\n" for code, (meaning,
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("SGEMBED_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a file at out or on the way to it
+        raise NotADirectoryError(f"--out {out} is not a directory") from None
     return out
 
 

@@ -57,25 +57,20 @@ def models_equal(a, b) -> bool:
 
 
 def reference_layer(t, prefix, nodes, edges, src, tgt):
-    """One EVAL-mode convolution layer in plain numpy from a name -> array dict ``t``.
-
-    A bias that older checkpoint versions held (trunk_b, node_b1 and head_e_b
-    before version 3, head_t_b before version 4) is added where ``t`` has it.
-    """
+    """One EVAL-mode convolution layer in plain numpy from a name -> array dict ``t``."""
     p = lambda name: t[prefix + name]
-    bias = lambda name: t.get(prefix + name, 0.0)
 
     def bn_relu(x, bn):
         inv = 1.0 / np.sqrt(p(f"{bn}_bn.running_var") + BatchNormState.eps)
         return np.maximum((x - p(f"{bn}_bn.running_mean")) * inv * p(f"{bn}_gamma") + p(f"{bn}_beta"), 0.0)
 
-    hidden = bn_relu(np.concatenate([nodes[src], edges, nodes[tgt]], axis=1) @ p("trunk_w") + bias("trunk_b"), "trunk")
-    new_edges = hidden @ p("head_e_w") + bias("head_e_b") if prefix + "head_e_w" in t else None
+    hidden = bn_relu(np.concatenate([nodes[src], edges, nodes[tgt]], axis=1) @ p("trunk_w"), "trunk")
+    new_edges = hidden @ p("head_e_w") if prefix + "head_e_w" in t else None
     inbox = np.zeros((len(nodes), p("head_s_w").shape[1]))
     np.add.at(inbox, src, hidden @ p("head_s_w") + p("head_s_b"))
-    np.add.at(inbox, tgt, hidden @ p("head_t_w") + bias("head_t_b"))
+    np.add.at(inbox, tgt, hidden @ p("head_t_w"))
     pooled = inbox / np.bincount(np.concatenate([src, tgt]), minlength=len(nodes))[:, None]
-    out = bn_relu(pooled @ p("node_w1") + bias("node_b1"), "node") @ p("node_w2") + p("node_b2")
+    out = bn_relu(pooled @ p("node_w1"), "node") @ p("node_w2") + p("node_b2")
     return out / np.linalg.norm(out, axis=1, keepdims=True), new_edges
 
 

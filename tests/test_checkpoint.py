@@ -121,14 +121,6 @@ def _write_header(path, header, payload):
     path.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
 
 
-def _write_tensors(path, header, tensors):
-    """``header`` with a directory and payload holding ``tensors`` (name -> array) in order."""
-    offsets = np.cumsum([0] + [a.size for a in tensors.values()])
-    header["tensors"] = [{"name": n, "shape": list(a.shape), "offset": int(o)} for (n, a), o in zip(tensors.items(), offsets)]
-    header["total_floats"] = int(offsets[-1])
-    _write_header(path, header, b"".join(np.asarray(a, dtype="<f8").tobytes() for a in tensors.values()))
-
-
 def test_tensor_directory_layout_is_fixed(model, tmp_path):
     """The names, shapes and order of a 2-layer model's tensors are the file format."""
     path = tmp_path / "m.ckpt"
@@ -228,100 +220,34 @@ def test_oversized_model_config_refused_before_allocating(tiny_vocab, tmp_path):
     assert peak < 2**20
 
 
-# Where older versions held a bias that version 4 lacks: after the weight it followed, in every
-# version before the one given.
-_OLD_BIAS_AFTER = {
-    "trunk_w": ("trunk_b", 3),
-    "head_t_w": ("head_t_b", 4),
-    "head_e_w": ("head_e_b", 3),
-    "node_w1": ("node_b1", 3),
-}
-
-
-def _write_old_version(model, path, version, **knobs):
-    """``model`` saved as format version 1, 2 or 3, which also held head_t_b, and before version 3
-    trunk_b, node_b1 and head_e_b (here arbitrary floats); version 1 also held the last layer's edge
-    head and two model knobs. Returns the file's tensors by name."""
-    save_checkpoint(model, path)
-    header, payload = _read_header(path)
-    current = np.frombuffer(payload, dtype="<f8")
-    rng = np.random.default_rng(0)
-    c, last = model.config, f"layers.{model.config.num_layers - 1}."
-    tensors = {}
-    for e in header["tensors"]:
-        name, shape = e["name"], e["shape"]
-        tensors[name] = current[e["offset"] : e["offset"] + int(np.prod(shape))].reshape(shape)
-        layer, _, field = name.rpartition(".")
-        bias, dropped_in = _OLD_BIAS_AFTER.get(field, (None, 0))
-        if version < dropped_in:
-            tensors[f"{layer}.{bias}"] = rng.normal(size=shape[1])
-        if version == 1 and name == last + "head_t_w":
-            tensors[last + "head_e_w"] = rng.normal(size=(c.mlp_hidden, c.out_dim))
-            tensors[last + "head_e_b"] = rng.normal(size=c.out_dim)
-    header["format_version"] = version
-    if version == 1:
-        header["model_config"].update({"pool_include_trivial": True, "renormalize_embedding": True, **knobs})
-    _write_tensors(path, header, tensors)
-    return tensors
-
-
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_old_version_file_keeps_its_eval_function(model, tmp_path, tiny_vocab, version):
-    """Each dropped bias is folded into the running mean it fed, head_t_b also into head_s_b; the last
-    layer's version 1 edge head is ignored."""
+def test_loaded_model_matches_the_numpy_reference(model, tmp_path, tiny_vocab):
+    """A reloaded model's EVAL embeddings equal the plain-numpy forward of the saved model's arrays."""
     graphs = [
         augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 1, 2))), tiny_vocab),
         augment_trivial(SceneGraph("b", (3, 1), ((1, 2, 0),)), tiny_vocab),
     ]
     for _ in range(3):  # nonzero running means
         forward(model, graphs, Mode.TRAIN)
-    path = tmp_path / "old.ckpt"
-    tensors = _write_old_version(model, path, version)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
     loaded, _ = load_checkpoint(path)
     np.testing.assert_allclose(
-        embed_graphs(loaded, graphs), reference_embeddings(tensors, model.config.num_layers, graphs), rtol=0, atol=1e-12
+        embed_graphs(loaded, graphs), reference_embeddings(model.arrays(), SMALL.num_layers, graphs), rtol=0, atol=1e-12
     )
-    for name, p in loaded.parameters().items():
-        expected = tensors[name] - tensors[name.replace("head_s_b", "head_t_b")] if name.endswith("head_s_b") else tensors[name]
-        np.testing.assert_array_equal(p.data, expected, err_msg=name)
 
 
-@pytest.mark.parametrize("knob", ["pool_include_trivial", "renormalize_embedding"])
-def test_version_1_knob_other_than_true_refused(model, tmp_path, knob):
-    path = tmp_path / "v1.ckpt"
-    _write_old_version(model, path, 1, **{knob: False})
-    with pytest.raises(CheckpointError, match=knob):
-        load_checkpoint(path)
-
-
-# (tensor the upgrade reads, version whose files hold it)
-_UPGRADE_READS = [
-    *[(name, v) for name in ("layers.0.trunk_b", "layers.0.head_e_b", "layers.1.node_b1") for v in (1, 2)],
-    *[
-        (name, v)
-        for name in ("layers.0.head_t_b", "layers.1.head_t_b", "layers.1.head_s_b", "layers.1.node_w1")
-        + ("layers.1.trunk_bn.running_mean", "layers.0.node_bn.running_mean")
-        for v in (1, 2, 3)
-    ],
-]
-
-
-@pytest.mark.parametrize("name, version", _UPGRADE_READS)
-def test_old_version_file_without_an_entry_the_upgrade_needs(model, tmp_path, version, name):
-    path = tmp_path / "old.ckpt"
-    tensors = _write_old_version(model, path, version)
-    header, _ = _read_header(path)
-    del tensors[name]
-    _write_tensors(path, header, tensors)
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: version {version} checkpoint has no tensor {name}")):
-        load_checkpoint(path)
-
-
-def test_unknown_format_version_refused(model, tmp_path):
+@pytest.mark.parametrize(
+    "version", [1, 2, 3, 5, 4.0, True, "4", None], ids=["1", "2", "3", "5", "4.0", "true", "string_4", "missing"]
+)
+def test_unknown_format_version_refused(model, tmp_path, version):
+    """Only format version 4, as a JSON integer, is read; older files are refused, not upgraded."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    header["format_version"] = 5
+    del header["format_version"]
+    if version is not None:
+        header["format_version"] = version
     _write_header(path, header, payload)
-    with pytest.raises(CheckpointError, match="unsupported format version 5"):
+    message = f"{path}: unsupported format version {version!r}; only version 4 is read"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         load_checkpoint(path)

@@ -1,6 +1,7 @@
 """CLI pipeline: end-to-end smoke, exit codes, idempotent outputs, help text."""
 
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -346,6 +347,7 @@ class TestExitCodes:
         [
             (FileNotFoundError, EXIT_MISSING_FILE),
             (IsADirectoryError, EXIT_MISSING_FILE),
+            (NotADirectoryError, EXIT_MISSING_FILE),
             (CheckpointHashMismatch, EXIT_HASH_MISMATCH),
             (SamplerExhaustedError, EXIT_RUNTIME),
             (DegenerateDistributionError, EXIT_RUNTIME),
@@ -418,21 +420,19 @@ class TestExitCodes:
         assert last == f"DatasetFormatError: {ckpt}: vocabulary '{key}' must be a list of strings"
         assert not (out / "eval_report.json").exists()
 
-    def test_version_2_checkpoint_without_a_bias_it_held(self, pipeline, tmp_path, capsys):
+    def test_version_3_checkpoint_is_refused(self, pipeline, tmp_path, capsys):
         blob = open(pipeline["ckpt"], "rb").read()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
-        header["format_version"] = 2
-        hidden = header["model_config"]["mlp_hidden"]
-        header["tensors"].append({"name": "layers.0.trunk_b", "shape": [hidden], "offset": header["total_floats"]})
-        header["total_floats"] += hidden  # and no layers.0.node_b1
+        header["format_version"] = 3
         raw = json.dumps(header).encode("utf-8")
-        ckpt = tmp_path / "v2.ckpt"
-        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :] + bytes(8 * hidden))
+        ckpt = tmp_path / "v3.ckpt"
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n :])
         out = tmp_path / "e"
         assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == f"CheckpointError: {ckpt}: version 2 checkpoint has no tensor layers.0.node_b1 of shape [{hidden}]"
+        assert last == f"CheckpointError: {ckpt}: unsupported format version 3; only version 4 is read"
+        assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize(
         "mutate, tensor",
@@ -467,6 +467,32 @@ class TestExitCodes:
         assert main(argv) == EXIT_MISSING_FILE
         assert capsys.readouterr().err.splitlines()[-1].startswith("IsADirectoryError: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "{afile}"],
+            ["gen-data", "--out", "{afile}/run"],
+            ["gen-data", "--config", "{afile}/x.json", "--out", "{o}"],
+            ["eval", "--data", "{data}", "--checkpoint", "{ckpt}", "--out", "{afile}"],
+            ["eval", "--data", "{data}", "--checkpoint", "{ckpt}", "--out", "{afile}/run"],
+            ["eval", "--data", "{data}", "--checkpoint", "{afile}/x.ckpt", "--out", "{o}"],
+        ],
+        ids=["gen-data-out", "gen-data-out-under", "gen-data-config", "eval-out", "eval-out-under", "eval-checkpoint"],
+    )
+    def test_file_given_for_a_directory(self, pipeline, tmp_path, capsys, argv):
+        """Exit 3 with one stderr line naming the path (and the flag, for --out) that is or lies under a file."""
+        afile = tmp_path / "afile"
+        afile.write_text("a file\n")
+        argv = [a.format(afile=afile, o=tmp_path / "o", **pipeline) for a in argv]
+        path = next(a for a in argv if a.startswith(str(afile)))
+        if argv[argv.index(path) - 1] == "--out":
+            message = f"--out {path} is not a directory"
+        else:
+            message = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {path!r}"
+        assert main(argv) == EXIT_MISSING_FILE
+        assert capsys.readouterr().err.splitlines() == [f"NotADirectoryError: {message}"]
+        assert os.listdir(tmp_path) == ["afile"] and afile.read_text() == "a file\n"
 
     @pytest.mark.parametrize(
         "name, edit, culprit, error, message",
@@ -556,6 +582,16 @@ class TestHelp:
             assert "exit codes:" in lines, name
             for code, (meaning, _) in cli._EXIT_CODES.items():
                 assert f"  {code}  {meaning}" in lines, f"{name}: exit code {code} not on its own line"
+
+    def test_readme_exit_code_table_matches_the_code(self):
+        """README's table lists _EXIT_CODES' codes and meanings in order, each class in its row's "raised by" cell."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            table = fh.read().split("| code | meaning | raised by |\n|---|---|---|\n", 1)[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.split("\n\n", 1)[0].splitlines()]
+        assert [(int(code), meaning) for code, meaning, _ in rows] == [(c, m) for c, (m, _) in cli._EXIT_CODES.items()]
+        for (code, _, raised_by), (_, kinds) in zip(rows, cli._EXIT_CODES.values()):
+            for kind in kinds:
+                assert f"`{kind.__name__}`" in raised_by, f"exit {code}: {kind.__name__} not named"
 
     def test_main_returns_usage_error_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
