@@ -247,7 +247,9 @@ def _report_from_ranks(noise_level: int, ranks: tuple[int, ...]) -> RetrievalRep
 def _corrupted_queries(dataset: Dataset, indices, m: int, seed: int):
     noisy = []
     for qpos, i in enumerate(indices):
-        g = corrupt(dataset.graphs[i], m, np.random.SeedSequence((seed, m, qpos)))
+        # default_rng builds the same SeedSequence from the tuple, and only
+        # when some edge survives.
+        g = corrupt(dataset.graphs[i], m, (seed, m, qpos))
         noisy.append(augment_trivial(g, dataset.vocab))
     return noisy
 

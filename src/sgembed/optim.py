@@ -60,8 +60,22 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> AdamState:
         g = p.grad
         m = state.first_moment[name]
         v = state.second_moment[name]
-        np.copyto(m, b1 * m + (1.0 - b1) * g)
-        np.copyto(v, b2 * v + (1.0 - b2) * (g * g))
-        p.data -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+        # p -= lr * (m/bias1) / (sqrt(v/bias2) + eps): the same operations in the
+        # same order, bit for bit, with two new arrays per parameter.
+        m *= b1
+        scratch = (1.0 - b1) * g
+        m += scratch
+        v *= b2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v += scratch
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        step = m / bias1
+        step *= state.learning_rate
+        step /= scratch
+        p.data -= step
         p.grad = None
     return state

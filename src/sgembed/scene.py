@@ -355,22 +355,26 @@ def corrupt(g: SceneGraph, m: int, rng_seed) -> SceneGraph:
     """Remove min(m, |edges|) edges uniformly at random, then drop isolated nodes.
 
     m == 0 returns the graph unchanged. Isolation ignores edge direction.
-    When every node would be dropped, the node with the smallest original
-    index is kept so the result can still be embedded. Node indices are
-    compacted in original order.
+    Node indices are compacted in original order. ``rng_seed`` may be
+    anything ``np.random.default_rng`` accepts, such as an int, a tuple of
+    ints or a SeedSequence; a tuple and the SeedSequence made from it give
+    the same draw.
+
+    When m >= |edges| every edge goes whatever the draw, so no generator is
+    built: the result keeps only the node with the smallest original index,
+    so that it can still be embedded.
     """
     if m < 0:
         raise ValueError("noise level must be non-negative")
     if m == 0:
         return g
-    rng = np.random.default_rng(rng_seed)
     n_edges = len(g.edges)
-    n_removed = min(m, n_edges)
-    removed = set(rng.choice(n_edges, size=n_removed, replace=False).tolist()) if n_edges else set()
+    if m >= n_edges:
+        return SceneGraph(g.image_id, g.nodes[:1], ())
+    rng = np.random.default_rng(rng_seed)
+    removed = set(rng.choice(n_edges, size=m, replace=False).tolist())
     surviving = [e for i, e in enumerate(g.edges) if i not in removed]
     kept_nodes = sorted({u for u, _, _ in surviving} | {v for _, _, v in surviving})
-    if not kept_nodes:
-        kept_nodes = [0] if g.nodes else []
     remap = {old: new for new, old in enumerate(kept_nodes)}
     return SceneGraph(
         g.image_id,

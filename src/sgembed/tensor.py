@@ -312,7 +312,8 @@ def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise EmptySegmentError(f"segments with no members: {empty.tolist()}")
-    out = _scatter_add(values.data, ids, num_segments) / counts[:, None]
+    out = _scatter_add(values.data, ids, num_segments)
+    out /= counts[:, None]
 
     def back(g):
         return ((g / counts[:, None])[ids],)
@@ -370,7 +371,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
         centered = x.data - mu
         var = (centered * centered).sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = centered * inv_std
+        xhat = np.multiply(centered, inv_std, out=centered)
         m = state.momentum
         state.running_mean[:] = (1.0 - m) * state.running_mean + m * mu
         state.running_var[:] = (1.0 - m) * state.running_var + m * var
@@ -384,10 +385,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
 
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.data - state.running_mean) * inv_std
+        xhat = x.data - state.running_mean
+        xhat *= inv_std
         gamma_data = gamma.data
 
         def back(g):
             return g * (gamma_data * inv_std), (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return _result(gamma.data * xhat + beta.data, (x, gamma, beta), back, "batchnorm")
+    # gamma * xhat + beta with the sum in place: the same operations in the
+    # same order, one full-size temporary fewer.
+    out = gamma.data * xhat
+    out += beta.data
+    return _result(out, (x, gamma, beta), back, "batchnorm")

@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from conftest import make_dataset
+from sgembed import model as model_module
 from sgembed.evaluate import (
     EvalReport,
     METRIC_NAMES,
@@ -33,6 +34,7 @@ from sgembed.evaluate import (
 )
 from sgembed.model import GcnModel, ModelConfig
 from sgembed.scene import split_dataset
+from sgembed.synth import SynthConfig, generate
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +440,14 @@ class TestRetrieval:
         assert [r.noise_level for r in reports] == [0, 1, 2]
         solo = retrieval_experiment(model, ds, range(10), 1, seed=1)
         assert reports[1].ranks == solo.ranks
+
+    def test_sweep_ranks_do_not_depend_on_the_edge_budget(self, monkeypatch):
+        """One graph per forward and the default chunks rank every query the same, at three noise levels."""
+        ds = generate(SynthConfig(n_images=60))
+        model = GcnModel.create(ModelConfig(32, 64, 32, 2, 64), ds.vocab, seed=0)
+        default = [r.ranks for r in noise_sweep(model, ds, range(60), [1, 5, 30], seed=0)]
+        monkeypatch.setattr(model_module, "_EMBED_EDGES", 1)
+        assert [r.ranks for r in noise_sweep(model, ds, range(60), [1, 5, 30], seed=0)] == default
 
     def test_split_subset_retrieval(self, tiny_vocab):
         ds = make_dataset(12, tiny_vocab, seed=2)

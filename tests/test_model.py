@@ -2,12 +2,14 @@
 batching invariance, end-to-end gradients."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import reference_layer, relative_gradient_error
+from sgembed import model as model_module
 from sgembed import tensor as T
 from sgembed.model import (
     BatchedGraph,
@@ -215,6 +217,65 @@ class TestForwardInvariants:
         monkeypatch.setattr(T, "TapeNode", None)  # recording any node now raises TypeError
         np.testing.assert_array_equal(embed_graphs(model, graphs), expected)
         assert all(p.requires_grad for p in model.parameters().values())
+
+
+ACCEPTANCE = ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64)
+
+
+@pytest.fixture(scope="module")
+def synthetic_400():
+    """400 augmented synthetic graphs and an untrained acceptance-width model on their vocabulary."""
+    dataset = generate(SynthConfig(n_images=400))
+    return augmented(dataset.graphs, dataset.vocab), GcnModel.create(ACCEPTANCE, dataset.vocab, seed=0)
+
+
+class TestEmbedGraphsChunks:
+    @pytest.mark.parametrize(
+        "edges, budget, expected",
+        [
+            ([10, 50, 10, 10, 25], 40, [(0, 1), (1, 2), (2, 4), (4, 5)]),
+            ([3, 3, 3], 6, [(0, 2), (2, 3)]),
+            ([7], 1, [(0, 1)]),
+            ([1, 1, 1], 10**9, [(0, 3)]),
+            ([], 5, []),
+        ],
+    )
+    def test_edge_budget_chunks(self, monkeypatch, edges, budget, expected):
+        """Runs of consecutive graphs within the budget; a graph over it forms its own chunk."""
+        monkeypatch.setattr(model_module, "_EMBED_EDGES", budget)
+        graphs = [SceneGraph(str(i), (0, 1), ((0, 0, 1),) * e) for i, e in enumerate(edges)]
+        chunks = model_module._edge_budget_chunks(graphs)
+        assert [(c.start, c.stop) for c in chunks] == expected
+
+    @pytest.mark.parametrize("budget", [1, 7, model_module._EMBED_EDGES, 60, 10**9])
+    def test_chunking_cannot_change_an_embedding(self, synthetic_400, monkeypatch, budget):
+        """Every budget gives the same bits: one graph per forward, a few graphs per forward, one forward.
+        At 60 edges some of the 40 graphs exceed the budget and share no chunk."""
+        graphs, model = synthetic_400
+        graphs = graphs[:40]
+        assert max(len(g.edges) for g in graphs) > 60 > min(len(g.edges) for g in graphs)
+        expected = embed_graphs(model, graphs)
+        monkeypatch.setattr(model_module, "_EMBED_EDGES", budget)
+        np.testing.assert_array_equal(embed_graphs(model, graphs), expected)
+        np.testing.assert_array_equal(embed_graphs(model, graphs), forward(model, graphs, Mode.EVAL).data)
+
+    def test_working_memory_does_not_follow_graph_count(self, synthetic_400):
+        """The traced peak of embed_graphs, less its (n, out_dim) result, is the same for 50 and 400 graphs."""
+        graphs, model = synthetic_400
+        embed_graphs(model, graphs[:50])  # first-call allocations stay out of the measurement
+
+        def working_peak(some):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = embed_graphs(model, some)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - base - out.nbytes
+
+        small, large = working_peak(graphs[:50]), working_peak(graphs)
+        assert max(small, large) <= 1.5 * min(small, large), (small, large)
 
 
 class TestEndToEndGradients:

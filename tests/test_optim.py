@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from sgembed import tensor as T
+from sgembed.model import GcnModel, ModelConfig, forward
 from sgembed.optim import AdamState, MissingGradientError, adam_step
-from sgembed.tensor import Tensor
+from sgembed.scene import SceneGraph, augment_trivial
+from sgembed.tensor import Mode, Tensor
 
 
 def _param(values):
@@ -67,3 +70,30 @@ def test_moment_buffers_match_parameter_shapes():
     state = AdamState.create({"p": p})
     assert state.first_moment["p"].shape == (3, 4)
     assert state.second_moment["p"].shape == (3, 4)
+
+
+def test_in_place_update_is_the_out_of_place_formula_bit_for_bit(tiny_vocab):
+    """Five steps on a 2-layer GCN: every parameter and moment equals the textbook expressions, bitwise."""
+    model = GcnModel.create(ModelConfig(label_dim=6, message_dim=5, out_dim=4, num_layers=2, mlp_hidden=7), tiny_vocab)
+    graphs = [
+        augment_trivial(SceneGraph("a", (0, 1, 2), ((0, 0, 1), (1, 2, 2))), tiny_vocab),
+        augment_trivial(SceneGraph("b", (3, 1), ((1, 1, 0),)), tiny_vocab),
+    ]
+    params = model.parameters()
+    state = AdamState.create(params, learning_rate=1e-2)
+    expected = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p.data) for name, p in params.items()}
+    v = {name: np.zeros_like(p.data) for name, p in params.items()}
+    b1, b2, eps, lr = AdamState.beta1, AdamState.beta2, AdamState.epsilon, state.learning_rate
+    for t in range(1, 6):
+        T.backward(T.sum(forward(model, graphs, Mode.TRAIN)))
+        for name, p in params.items():
+            g = p.grad
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            expected[name] = expected[name] - lr * (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+        adam_step(params, state)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, expected[name], err_msg=f"step {t}: {name}")
+            np.testing.assert_array_equal(state.first_moment[name], m[name], err_msg=f"step {t}: {name}")
+            np.testing.assert_array_equal(state.second_moment[name], v[name], err_msg=f"step {t}: {name}")

@@ -243,6 +243,43 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(SceneGraph("x", (0,), ()), -1, 0)
 
+    @staticmethod
+    def _random_graphs(count, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            n = int(rng.integers(1, 9))
+            edges = tuple((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))) for _ in range(rng.integers(0, 12)))
+            yield SceneGraph(f"g{k}", tuple(int(x) for x in rng.integers(0, 50, size=n)), edges)
+
+    def test_stripping_every_edge_draws_nothing(self, monkeypatch):
+        """For every m >= |edges| the result is the first node alone, and no generator is built."""
+        graphs = list(self._random_graphs(200, seed=1))
+        monkeypatch.setattr(np.random, "default_rng", None)  # building a generator now raises TypeError
+        for g in graphs:
+            for m in range(max(len(g.edges), 1), len(g.edges) + 3):
+                assert corrupt(g, m, (5, m)) == SceneGraph(g.image_id, (g.nodes[0],), ())
+
+    def test_seed_tuple_draws_as_its_seed_sequence(self):
+        """While some edge survives, a seed tuple and the SeedSequence made from it give the same graph."""
+        checked = 0
+        for q, g in enumerate(self._random_graphs(200, seed=2)):
+            for m in range(1, len(g.edges)):
+                assert corrupt(g, m, (3, m, q)) == corrupt(g, m, np.random.SeedSequence((3, m, q)))
+                checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize(
+        "g, seed, expected",
+        [
+            (SceneGraph("a", (4, 2, 7), ((0, 0, 1), (1, 1, 2))), 0, (4,)),
+            (SceneGraph("b", (5, 5, 1, 3), ((2, 0, 3), (3, 1, 0), (1, 2, 0))), 11, (5,)),
+            (SceneGraph("c", (9, 0), ((1, 3, 0),)), np.random.SeedSequence((7, 2, 5)), (9,)),
+        ],
+    )
+    def test_all_edges_removed_as_the_generator_path_gave(self, g, seed, expected):
+        """m == |edges|: the results that drawing every edge with the generator gave, pinned."""
+        assert corrupt(g, len(g.edges), seed) == SceneGraph(g.image_id, expected, ())
+
 
 class TestSplit:
     def test_ten_images_70_20_10(self, tiny_vocab):
