@@ -8,10 +8,13 @@ Data is always a C-contiguous float64 ndarray. Operations record tape
 nodes only when some input requires gradients, so frozen-model inference
 pays no bookkeeping cost. The recorded graph is rebuilt on every forward
 pass (define-by-run); ``backward`` lists its nodes once in topological
-order (parents before children) and replays them in reverse. Nodes point
-only at their inputs, so reference counting frees a tape with its loss.
-Calling ``backward`` a second time without re-running the forward pass
-accumulates leaf gradients a second time.
+order (parents before children) and replays them in reverse. A node keeps
+its input nodes and its requires-grad leaf tensors, never an intermediate
+tensor, and its rule keeps only the arrays it reads (``relu`` keeps the
+mask ``x > 0``, not ``x``). So an intermediate array that no rule reads is
+freed once the next op has consumed it, and reference counting frees the
+whole tape with its loss. Calling ``backward`` a second time without
+re-running the forward pass accumulates leaf gradients a second time.
 """
 
 from __future__ import annotations
@@ -93,13 +96,22 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded primitive op: its inputs and backward rule. ``out`` is
-    not kept, so a tape holds no reference cycle back to its tensors."""
+    """One recorded primitive op: where each input's gradient goes, and the
+    backward rule.
+
+    ``parents`` has one entry per input tensor: the input's TapeNode when a
+    recorded op made it, the tensor itself when it is a leaf that requires
+    grad, and None otherwise. Neither ``out`` nor an intermediate input is
+    kept; the rule's closure holds only the arrays it reads, so a tape holds
+    no reference cycle back to its tensors.
+    """
 
     __slots__ = ("parents", "backward_fn", "name")
 
     def __init__(self, parents, out, backward_fn, name):
-        self.parents = tuple(parents)
+        self.parents = tuple(
+            p.node if p.node is not None else p if p.requires_grad else None for p in parents
+        )
         self.backward_fn = backward_fn
         self.name = name
 
@@ -122,8 +134,8 @@ def _topological_nodes(root: Tensor) -> list[TapeNode]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if parent.node is not None and id(parent.node) not in seen:
-                stack.append((parent.node, False))
+            if parent is not None and not isinstance(parent, Tensor) and id(parent) not in seen:
+                stack.append((parent, False))
     return order
 
 
@@ -148,13 +160,12 @@ def backward(loss: Tensor) -> None:
             continue
         parent_grads = node.backward_fn(out_grad)
         for parent, g in zip(node.parents, parent_grads):
-            if g is None:
+            if parent is None or g is None:
                 continue
-            if parent.node is not None:
-                key = parent.node
-                grads[key] = grads[key] + g if key in grads else g
-            elif parent.requires_grad:
+            if isinstance(parent, Tensor):
                 parent.grad = g if parent.grad is None else parent.grad + g
+            else:
+                grads[parent] = grads[parent] + g if parent in grads else g
 
 
 def _result(data, parents, backward_fn, name) -> Tensor:
@@ -234,10 +245,12 @@ def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0 (the kink counts as inactive). fmax maps NaN to
     # 0 and adding 0.0 turns a -0.0 result into 0.0, so the output equals
     # np.where(x > 0, x, 0.0) bit for bit without a per-element branch.
+    # The rule keeps only the 1-byte mask, and only when a node is recorded.
     x = a.data
     out = np.fmax(x, 0.0)
     out += 0.0
-    return _result(out, (a,), lambda g: (g * (x > 0),), "relu")
+    mask = x > 0 if a.requires_grad else None
+    return _result(out, (a,), lambda g: (g * mask,), "relu")
 
 
 def logsigmoid(a: Tensor) -> Tensor:

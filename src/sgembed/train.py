@@ -132,6 +132,13 @@ def train(
         for start in range(0, len(order), config.batch_size):
             anchors = order[start : start + config.batch_size]
             triples = [sampler.sample_triple(int(a)) for a in anchors]
+            # The previous step's tape dies only here, when `loss` is rebound
+            # after this forward, so the heap never shrinks between steps. A
+            # `del loss` after backward(loss) lowers peak RSS (74 -> 62 MiB
+            # for a 30-epoch acceptance run), but glibc then trims the heap
+            # top and faults it back in every step: about 3,200 minor faults
+            # per step against 200, and 22-27% fewer triples/s (2-core x86-64
+            # VM, numpy with OpenBLAS).
             loss = _batch_loss(model, augmented, triples, config.loss)
             value = loss.item()
             if not np.isfinite(value):

@@ -1,6 +1,8 @@
 """Autodiff engine: forward values, gradients vs finite differences, tape
 contracts, batchnorm behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,33 @@ class TestBackwardBasics:
         nodes = T._topological_nodes(loss)
         seen = set()
         for node in nodes:
+            # A parent entry is the input's node, a requires-grad leaf, or None.
             for parent in node.parents:
-                if parent.node is not None:
-                    assert id(parent.node) in seen, "parent must precede child"
+                if parent is not None and not isinstance(parent, T.Tensor):
+                    assert id(parent) in seen, "parent must precede child"
             assert id(node) not in seen, "node listed twice"
             seen.add(id(node))
+
+    def test_tape_keeps_no_array_its_rules_do_not_read(self):
+        """No rule reads the matmul or add output of relu(x @ w + b), so the
+        tape frees both while the loss lives; backward is still exact."""
+        rng = np.random.default_rng(0)
+        x, w, b = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 5))), t(rng.normal(size=5))
+
+        def build():
+            return T.sum(T.relu(T.add(T.matmul(x, w), b)))
+
+        def build_with_weakrefs():
+            product = T.matmul(x, w)
+            biased = T.add(product, b)
+            return T.sum(T.relu(biased)), (weakref.ref(product.data), weakref.ref(biased.data))
+
+        loss, (product_ref, biased_ref) = build_with_weakrefs()
+        assert product_ref() is None, "the tape keeps the matmul output"
+        assert biased_ref() is None, "the tape keeps the add output"
+        # The oracle runs backward on its first forward: hand it the kept loss.
+        pending = [loss]
+        assert relative_gradient_error(lambda: pending.pop() if pending else build(), [x, w, b]) < 1e-4
 
     def test_row_sum_values_and_bad_axes(self):
         x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

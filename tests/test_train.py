@@ -1,6 +1,7 @@
 """Training loop: determinism, checkpoint round trips, learning progress."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,30 @@ class TestTapeLifetime:
         finally:
             gc.enable()
         assert leftover == 0
+
+    def test_tape_bytes_per_augmented_edge(self):
+        """A TRAIN tape at the acceptance widths holds at most 8 KiB per
+        augmented edge of its batch: only the arrays backward rules read.
+        A tape that kept every op's input tensors held about 17 KiB."""
+        ds = generate(SynthConfig())
+        model = GcnModel.create(
+            ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64), ds.vocab, seed=0
+        )
+        sampler = TripleSampler(ds.similarity, SamplerConfig(rng_seed=0))
+        triples = [sampler.sample_triple(a) for a in range(16)]
+        members = {i for t in triples for i in (t.anchor, t.positive, t.negative)}
+        augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in members}
+        edges = sum(len(g.edges) for g in augmented.values())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = _batch_loss(model, augmented, triples, LossConfig())
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert live <= 8 * 1024 * edges, f"{live / edges / 1024:.1f} KiB per augmented edge"
 
 
 def test_every_parameter_gets_a_gradient():
