@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .scene import Vocabulary, TRIVIAL_NODE_LABEL
+from .scene import Vocabulary
 from .tensor import BatchNormState, Mode, Tensor
 
 
@@ -118,7 +118,6 @@ class GcnModel:
         self.object_table = object_table
         self.relationship_table = relationship_table
         self.layers = layers
-        self._trivial_label = vocab.object_index(TRIVIAL_NODE_LABEL)
 
     @classmethod
     def create(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0) -> "GcnModel":
@@ -266,7 +265,7 @@ def pool(node_states: Tensor, graph_ids, num_graphs: int) -> Tensor:
 def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
     """Embed a list of augmented scene graphs; one row per graph."""
     batch = BatchedGraph.from_graphs(graphs)
-    if np.unique(batch.graph_ids[batch.node_labels == model._trivial_label]).size < batch.num_graphs:
+    if np.unique(batch.graph_ids[batch.node_labels == model.vocab.trivial_node_label]).size < batch.num_graphs:
         raise ValueError("forward expects augmented graphs (missing trivial node); call augment_trivial")
     node_states, edge_states = embed_inputs(model, batch)
     for layer in model.layers:

@@ -60,7 +60,6 @@ class LossConfig:
 @dataclass(frozen=True)
 class SamplerConfig:
     kind: str = "probability"
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -158,15 +157,16 @@ def compute_loss(config: LossConfig, f_a: Tensor, f_p: Tensor, f_n: Tensor, trip
 class TripleSampler:
     """Draws (positive, negative) pairs for anchors from a similarity matrix.
 
-    The sampler owns its RNG, so a fixed seed gives a reproducible draw
-    sequence. ``candidates`` restricts both triple members to a subset of
-    images (e.g. the train split); the anchor itself is always excluded.
+    The sampler owns its RNG, seeded with ``seed``, so a fixed seed gives a
+    reproducible draw sequence. ``candidates`` restricts both triple members
+    to a subset of images (e.g. the train split); the anchor itself is always
+    excluded.
     """
 
-    def __init__(self, similarity: SimilarityMatrix, config: SamplerConfig, candidates=None):
+    def __init__(self, similarity: SimilarityMatrix, config: SamplerConfig, seed: int, candidates=None):
         self._values = similarity.values
         self._config = config
-        self._rng = np.random.default_rng(config.rng_seed)
+        self._rng = np.random.default_rng(seed)
         n = self._values.shape[0]
         self._candidates = np.arange(n) if candidates is None else np.asarray(sorted(candidates), dtype=np.int64)
         if len(self._candidates) < 3:

@@ -22,13 +22,13 @@ class AdamState:
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     epsilon: ClassVar[float] = 1e-8
-    learning_rate: float = 1e-3
+    learning_rate: float
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, params: dict[str, Tensor], learning_rate: float = 1e-3) -> "AdamState":
+    def create(cls, params: dict[str, Tensor], learning_rate: float) -> "AdamState":
         return cls(
             learning_rate=learning_rate,
             first_moment={name: np.zeros_like(p.data) for name, p in params.items()},

@@ -1,5 +1,7 @@
 """Scene-graph data model, file formats, trivial-node augmentation and
-edge-removal corruption.
+edge-removal corruption. This module alone names the reserved labels of the
+trivial image node and its edges; other modules read their indices from the
+Vocabulary.
 
 File formats:
   graphs     JSON Lines, one image per line:
@@ -8,7 +10,8 @@ File formats:
              where the image id is a string, no object carries the reserved
              label __image__, and i and j are integral node indices (not booleans).
   vocabulary JSON {"objects": [...], "relationships": [...]}, two lists of
-             strings; the reserved labels are appended on load when absent.
+             strings; every Vocabulary, loaded or built, appends the
+             reserved labels when absent.
   similarity CSV; first row lists the image ids in dataset order, then an
              NxN block of floats formatted "%.6f".
 Each loader reads under reading(), so a refusal names its file (path:line for
@@ -59,27 +62,33 @@ class DimensionMismatchError(DatasetFormatError):
 
 
 class ReservedLabelError(ValueError):
-    """Reserved labels are missing from the vocabulary or already in use."""
+    """A graph already holds the trivial image node, so it cannot be augmented again."""
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered object and relationship label lists; indices are stable."""
+    """Ordered object and relationship label lists; indices are stable. Each list gets its reserved
+    label appended unless it holds it; trivial_node_label and trivial_edge_label are their indices."""
 
     object_labels: tuple[str, ...]
     relationship_labels: tuple[str, ...]
 
     def __post_init__(self):
         # the keys are the vocabulary file's and the checkpoint header's names for the two lists
-        for attr, key in (("object_labels", "objects"), ("relationship_labels", "relationships")):
+        for attr, key, reserved in (
+            ("object_labels", "objects", TRIVIAL_NODE_LABEL),
+            ("relationship_labels", "relationships", TRIVIAL_EDGE_LABEL),
+        ):
             labels = getattr(self, attr)
             if not (isinstance(labels, (list, tuple)) and all(isinstance(label, str) for label in labels)):
                 raise DatasetFormatError(f"vocabulary {key!r} must be a list of strings")
             if len(set(labels)) != len(labels):
                 raise DatasetFormatError(f"vocabulary {key!r} has duplicate labels")
-            object.__setattr__(self, attr, tuple(labels))
+            object.__setattr__(self, attr, tuple(labels) + ((reserved,) if reserved not in labels else ()))
         object.__setattr__(self, "_object_index", {l: i for i, l in enumerate(self.object_labels)})
         object.__setattr__(self, "_rel_index", {l: i for i, l in enumerate(self.relationship_labels)})
+        object.__setattr__(self, "trivial_node_label", self._object_index[TRIVIAL_NODE_LABEL])
+        object.__setattr__(self, "trivial_edge_label", self._rel_index[TRIVIAL_EDGE_LABEL])
 
     def object_index(self, label: str) -> int:
         try:
@@ -92,18 +101,6 @@ class Vocabulary:
             return self._rel_index[label]
         except KeyError:
             raise UnknownLabelError(f"unknown relationship label {label!r}") from None
-
-    def with_reserved(self) -> "Vocabulary":
-        """Append the trivial-node/edge labels when they are not present."""
-        objects = self.object_labels
-        rels = self.relationship_labels
-        if TRIVIAL_NODE_LABEL not in objects:
-            objects = objects + (TRIVIAL_NODE_LABEL,)
-        if TRIVIAL_EDGE_LABEL not in rels:
-            rels = rels + (TRIVIAL_EDGE_LABEL,)
-        if objects is self.object_labels and rels is self.relationship_labels:
-            return self
-        return Vocabulary(objects, rels)
 
     def content_hash(self) -> str:
         payload = json.dumps(
@@ -125,23 +122,6 @@ class SceneGraph:
     image_id: str
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
-
-    def validate(self, vocab: Vocabulary) -> None:
-        if not isinstance(self.image_id, str):
-            raise DatasetFormatError(f"image_id {self.image_id!r} is not a string")
-        n = len(self.nodes)
-        for label in self.nodes:
-            if not 0 <= label < len(vocab.object_labels):
-                raise UnknownLabelError(f"{self.image_id}: object label index {label} out of range")
-        if vocab._object_index.get(TRIVIAL_NODE_LABEL) in self.nodes:
-            raise DatasetFormatError(f"{self.image_id}: object label {TRIVIAL_NODE_LABEL!r} is reserved for the image node")
-        for src, rel, tgt in self.edges:
-            if not (0 <= src < n and 0 <= tgt < n):
-                raise DatasetFormatError(f"{self.image_id}: edge endpoint out of range")
-            if not 0 <= rel < len(vocab.relationship_labels):
-                raise UnknownLabelError(f"{self.image_id}: relationship label index {rel} out of range")
-            if src == tgt:
-                raise DatasetFormatError(f"{self.image_id}: self-loop outside trivial construction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +191,7 @@ def load_vocabulary(path) -> Vocabulary:
             raise DatasetFormatError(f"invalid vocabulary JSON: {e}") from None
         if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
             raise DatasetFormatError("vocabulary must map 'objects' and 'relationships' to lists")
-        return Vocabulary(raw["objects"], raw["relationships"]).with_reserved()
+        return Vocabulary(raw["objects"], raw["relationships"])
 
 
 def write_json(obj, path) -> None:
@@ -246,32 +226,48 @@ def load_graphs(path, vocab: Vocabulary) -> tuple[SceneGraph, ...]:
         for lineno, line in enumerate(fh, start=1):
             with reading(f"{fh.name}:{lineno}"):
                 line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DatasetFormatError(f"invalid JSON: {e}") from None
-                try:
-                    image_id = rec["image_id"]
-                    objects = rec["objects"]
-                    relationships = rec.get("relationships", [])
-                except (KeyError, TypeError):
-                    raise DatasetFormatError("record missing image_id/objects") from None
-                if not objects:
-                    raise DatasetFormatError(f"image {image_id!r} has no objects")
-                try:
-                    nodes = tuple(vocab.object_index(o["label"]) for o in objects)
-                    edges = tuple(
-                        (_node_index(r["subject"]), vocab.relationship_index(r["predicate"]), _node_index(r["object"]))
-                        for r in relationships
-                    )
-                except (KeyError, TypeError):
-                    raise DatasetFormatError("malformed object/relationship record") from None
-                g = SceneGraph(image_id, nodes, edges)
-                g.validate(vocab)
-                graphs.append(g)
+                if line:
+                    graphs.append(_parse_graph(line, vocab))
     return tuple(graphs)
+
+
+def _parse_graph(line: str, vocab: Vocabulary) -> SceneGraph:
+    """One graphs.jsonl record as a SceneGraph, or DatasetFormatError for the first rule it breaks.
+
+    The rules, in order: a JSON object with image_id and objects, known labels
+    and integral endpoints, a string image_id, no reserved object label, then
+    per edge endpoints within the graph and no self-loop.
+    """
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"invalid JSON: {e}") from None
+    try:
+        image_id = rec["image_id"]
+        objects = rec["objects"]
+        relationships = rec.get("relationships", [])
+    except (KeyError, TypeError):
+        raise DatasetFormatError("record missing image_id/objects") from None
+    if not objects:
+        raise DatasetFormatError(f"image {image_id!r} has no objects")
+    try:
+        nodes = tuple(vocab.object_index(o["label"]) for o in objects)
+        edges = tuple(
+            (_node_index(r["subject"]), vocab.relationship_index(r["predicate"]), _node_index(r["object"]))
+            for r in relationships
+        )
+    except (KeyError, TypeError):
+        raise DatasetFormatError("malformed object/relationship record") from None
+    if not isinstance(image_id, str):
+        raise DatasetFormatError(f"image_id {image_id!r} is not a string")
+    if vocab.trivial_node_label in nodes:
+        raise DatasetFormatError(f"{image_id}: object label {TRIVIAL_NODE_LABEL!r} is reserved for the image node")
+    for src, _, tgt in edges:
+        if not (0 <= src < len(nodes) and 0 <= tgt < len(nodes)):
+            raise DatasetFormatError(f"{image_id}: edge endpoint out of range")
+        if src == tgt:
+            raise DatasetFormatError(f"{image_id}: self-loop outside trivial construction")
+    return SceneGraph(image_id, nodes, edges)
 
 
 def save_graphs(graphs, vocab: Vocabulary, path) -> None:
@@ -340,15 +336,11 @@ def augment_trivial(g: SceneGraph, vocab: Vocabulary) -> SceneGraph:
     """
     if not g.nodes:
         raise ValueError(f"{g.image_id}: graph has no nodes")
-    if TRIVIAL_NODE_LABEL not in vocab.object_labels or TRIVIAL_EDGE_LABEL not in vocab.relationship_labels:
-        raise ReservedLabelError("vocabulary lacks the reserved trivial labels")
-    node_label = vocab.object_index(TRIVIAL_NODE_LABEL)
-    edge_label = vocab.relationship_index(TRIVIAL_EDGE_LABEL)
-    if node_label in g.nodes:
+    if vocab.trivial_node_label in g.nodes:
         raise ReservedLabelError(f"{g.image_id}: graph already contains the trivial node")
     image_node = len(g.nodes)
-    trivial_edges = tuple((u, edge_label, image_node) for u in range(len(g.nodes)))
-    return SceneGraph(g.image_id, g.nodes + (node_label,), g.edges + trivial_edges)
+    trivial_edges = tuple((u, vocab.trivial_edge_label, image_node) for u in range(image_node))
+    return SceneGraph(g.image_id, g.nodes + (vocab.trivial_node_label,), g.edges + trivial_edges)
 
 
 def corrupt(g: SceneGraph, m: int, rng_seed) -> SceneGraph:

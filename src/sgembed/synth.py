@@ -106,7 +106,7 @@ def generate(config: SynthConfig) -> Dataset:
     vocab = Vocabulary(
         tuple(f"obj_{k:03d}" for k in range(config.n_object_labels)),
         tuple(f"rel_{k:03d}" for k in range(config.n_relationship_labels)),
-    ).with_reserved()
+    )
     similarity = SimilarityMatrix(tuple(g.image_id for g in graphs), values)
     return Dataset(tuple(graphs), similarity, vocab)
 

@@ -95,7 +95,7 @@ def _reset_degenerate_counter():
 
 @pytest.fixture
 def tiny_vocab():
-    return Vocabulary(("cat", "bed", "man", "dog"), ("on", "near", "holding")).with_reserved()
+    return Vocabulary(("cat", "bed", "man", "dog"), ("on", "near", "holding"))
 
 
 def make_dataset(n, vocab, seed=0, sim=None):

@@ -101,7 +101,7 @@ def _primitive_cases(rng):
         ), [bx, g_, b_]
 
 
-GRAD_VOCAB = Vocabulary(tuple(f"o{k}" for k in range(6)), tuple(f"r{k}" for k in range(4))).with_reserved()
+GRAD_VOCAB = Vocabulary(tuple(f"o{k}" for k in range(6)), tuple(f"r{k}" for k in range(4)))
 GRAD_MODEL_CONFIG = ModelConfig(label_dim=5, message_dim=4, out_dim=4, num_layers=2, mlp_hidden=5)
 
 
@@ -289,7 +289,7 @@ def _fixture_sampler(kind, seed=0):
         ]
     )
     sim = SimilarityMatrix(("a", "b", "c", "d"), values)
-    return TripleSampler(sim, SamplerConfig(kind, rng_seed=seed))
+    return TripleSampler(sim, SamplerConfig(kind), seed)
 
 
 def test_criterion_4_sampler_distributions():

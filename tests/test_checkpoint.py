@@ -1,5 +1,6 @@
 """Checkpoint format: round trips, corruption detection, mismatch refusals."""
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -16,7 +17,7 @@ from sgembed.checkpoint import (
     save_checkpoint,
 )
 from sgembed.model import GcnModel, ModelConfig, embed_graphs, forward
-from sgembed.scene import DatasetFormatError, SceneGraph, UnknownLabelError, Vocabulary, augment_trivial
+from sgembed.scene import DatasetFormatError, SceneGraph, Vocabulary, augment_trivial
 from sgembed.tensor import Mode
 
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
@@ -60,15 +61,17 @@ def test_payload_cut_short_names_the_file(model, tmp_path, cut):
 
 
 def test_header_vocabulary_without_the_image_label_names_the_file(model, tmp_path):
-    """A vocabulary whose hash fits but that lacks the reserved image-node label."""
+    """A header vocabulary that lacks the reserved image-node label, recorded with the hash of its own
+    lists: Vocabulary appends the label, so the rebuilt vocabulary no longer fits that hash."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     header, payload = _read_header(path)
-    objects = ["image" if label == "__image__" else label for label in header["vocab"]["objects"]]
-    header["vocab"]["objects"] = objects
-    header["vocab_hash"] = Vocabulary(objects, header["vocab"]["relationships"]).content_hash()
+    header["vocab"]["objects"] = ["image" if label == "__image__" else label for label in header["vocab"]["objects"]]
+    lists = json.dumps(header["vocab"], sort_keys=True, separators=(",", ":"))
+    header["vocab_hash"] = hashlib.sha256(lists.encode("utf-8")).hexdigest()
     _write_header(path, header, payload)
-    with pytest.raises(UnknownLabelError, match=f"^{re.escape(str(path))}: unknown object label '__image__'$"):
+    message = f"^{re.escape(str(path))}: header vocabulary does not match its recorded hash$"
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 
@@ -82,7 +85,7 @@ def test_garbage_file_detected(tmp_path):
 def test_vocab_hash_mismatch_refused(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    other = Vocabulary(("x", "y"), ("r",)).with_reserved()
+    other = Vocabulary(("x", "y"), ("r",))
     with pytest.raises(CheckpointHashMismatch):
         load_checkpoint(path, expected_vocab_hash=other.content_hash())
 

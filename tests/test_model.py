@@ -100,6 +100,25 @@ class TestEmbedInputs:
             embed_inputs(model, batch)
 
 
+class TestBatchedGraph:
+    def test_empty_list_refused(self):
+        with pytest.raises(ValueError, match="^cannot batch an empty graph list$"):
+            BatchedGraph.from_graphs([])
+
+    def test_graph_without_nodes_refused(self):
+        with pytest.raises(ValueError, match="^y: graph has no nodes$"):
+            BatchedGraph.from_graphs([SceneGraph("x", (0,), ()), SceneGraph("y", (), ())])
+
+    @pytest.mark.parametrize("bad, edge", [(0, (0, 0, 2)), (1, (-1, 0, 1))], ids=["past_the_end", "negative"])
+    def test_endpoint_outside_its_graph_refused(self, bad, edge):
+        """Offset by the nodes of the graphs before it, the endpoint would name a node of the
+        other graph: an index inside the batch, which no later range check could refuse."""
+        graphs = [SceneGraph(name, (0, 1), ((0, 0, 1),)) for name in ("x", "y")]
+        graphs[bad] = SceneGraph(graphs[bad].image_id, (0, 1), (edge,))
+        with pytest.raises(ValueError, match=f"^{graphs[bad].image_id}: edge endpoint out of range$"):
+            BatchedGraph.from_graphs(graphs)
+
+
 class TestLayerForward:
     def _states(self, model, batch):
         return embed_inputs(model, batch)

@@ -255,7 +255,7 @@ def sampler_for(rows, kind, seed=0, candidates=None):
     values = np.asarray(rows, dtype=np.float64)
     ids = tuple(f"i{k}" for k in range(values.shape[0]))
     sim = SimilarityMatrix(ids, values)
-    return TripleSampler(sim, SamplerConfig(kind, rng_seed=seed), candidates=candidates)
+    return TripleSampler(sim, SamplerConfig(kind), seed, candidates=candidates)
 
 
 def three_image_sim():

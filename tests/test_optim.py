@@ -59,7 +59,7 @@ def test_two_identical_steps_follow_ema_recurrence():
 def test_missing_gradient_names_parameter():
     p1, p2 = _param([1.0]), _param([2.0])
     p1.grad = np.ones(1)
-    state = AdamState.create({"weights": p1, "bias": p2})
+    state = AdamState.create({"weights": p1, "bias": p2}, learning_rate=1e-3)
     with pytest.raises(MissingGradientError, match="bias"):
         adam_step({"weights": p1, "bias": p2}, state)
     assert state.step_count == 0
@@ -67,7 +67,7 @@ def test_missing_gradient_names_parameter():
 
 def test_moment_buffers_match_parameter_shapes():
     p = _param(np.zeros((3, 4)))
-    state = AdamState.create({"p": p})
+    state = AdamState.create({"p": p}, learning_rate=1e-3)
     assert state.first_moment["p"].shape == (3, 4)
     assert state.second_moment["p"].shape == (3, 4)
 

@@ -60,7 +60,9 @@ def test_write_csv_layout(tmp_path):
 def test_vocabulary_bytes(tmp_path):
     path = tmp_path / "vocabulary.json"
     save_vocabulary(Vocabulary(("dog", "cat"), ("on",)), path)
-    assert path.read_bytes() == b'{\n "objects": [\n  "dog",\n  "cat"\n ],\n "relationships": [\n  "on"\n ]\n}\n'
+    assert path.read_bytes() == (
+        b'{\n "objects": [\n  "dog",\n  "cat",\n  "__image__"\n ],\n "relationships": [\n  "on",\n  "__in_image__"\n ]\n}\n'
+    )
 
 
 def test_similarity_bytes(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -174,11 +176,6 @@ class TestAugment:
         with pytest.raises(ValueError, match="^x: graph has no nodes$"):
             augment_trivial(SceneGraph("x", (), ()), tiny_vocab)
 
-    def test_missing_reserved_labels(self):
-        vocab = Vocabulary(("cat",), ("on",))
-        with pytest.raises(ReservedLabelError):
-            augment_trivial(SceneGraph("x", (0,), ()), vocab)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_augmented_is_weakly_connected(self, seed, tiny_vocab):
         rng = np.random.default_rng(seed)
@@ -325,3 +322,23 @@ class TestTypes:
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(DatasetFormatError):
             Vocabulary(("a", "a"), ("r",))
+
+    def test_vocabulary_carries_each_reserved_label_once(self):
+        built = Vocabulary(("cat",), ("on",))
+        assert built.object_labels == ("cat", "__image__")
+        assert built.relationship_labels == ("on", "__in_image__")
+        assert (built.trivial_node_label, built.trivial_edge_label) == (1, 1)
+        listed = Vocabulary(("__image__", "cat"), ("on", "__in_image__", "near"))
+        assert listed.object_labels == ("__image__", "cat")
+        assert listed.relationship_labels == ("on", "__in_image__", "near")
+        assert (listed.trivial_node_label, listed.trivial_edge_label) == (0, 1)
+
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sgembed"
+
+
+def test_only_scene_names_the_reserved_labels():
+    """Every other module reads the reserved labels' indices from the Vocabulary."""
+    reserved = re.compile(r"TRIVIAL_(NODE|EDGE)_LABEL|__image__|__in_image__")
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py")) if reserved.search(path.read_text(encoding="utf-8"))]
+    assert naming == ["scene.py"]

@@ -47,16 +47,16 @@ class TestGenerate:
         ds2 = generate(SynthConfig(**{**FAST.__dict__, "seed": 6}))
         assert not np.array_equal(ds1.similarity.values, ds2.similarity.values)
 
-    def test_graphs_pass_validation_and_augment(self):
+    def test_graphs_fit_the_config_and_augment(self):
         ds = generate(FAST)
         for g in ds.graphs:
-            g.validate(ds.vocab)
             assert FAST.objects_min <= len(g.nodes) <= FAST.objects_max
             assert FAST.edges_min <= len(g.edges) <= FAST.edges_max
             aug = augment_trivial(g, ds.vocab)
             assert len(aug.nodes) == len(g.nodes) + 1
 
     def test_generated_files_load_back(self, tmp_path):
+        """load_graphs applies every graphs.jsonl record rule, so each generated graph passes them."""
         ds = generate(FAST)
         paths = (str(tmp_path / "g.jsonl"), str(tmp_path / "s.csv"), str(tmp_path / "v.json"))
         save_dataset(ds, *paths)

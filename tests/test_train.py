@@ -115,7 +115,7 @@ class TestTapeLifetime:
         """With the cyclic collector off, dropping the loss frees every tape node."""
         ds = tiny_dataset()
         model = GcnModel.create(TINY_MODEL, ds.vocab, seed=0)
-        sampler = TripleSampler(ds.similarity, SamplerConfig(), candidates=ds.split.train)
+        sampler = TripleSampler(ds.similarity, SamplerConfig(), 0, candidates=ds.split.train)
         augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in ds.split.train}
         triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
         gc.collect()
@@ -137,7 +137,7 @@ class TestTapeLifetime:
         model = GcnModel.create(
             ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64), ds.vocab, seed=0
         )
-        sampler = TripleSampler(ds.similarity, SamplerConfig(rng_seed=0))
+        sampler = TripleSampler(ds.similarity, SamplerConfig(), 0)
         triples = [sampler.sample_triple(a) for a in range(16)]
         members = {i for t in triples for i in (t.anchor, t.positive, t.negative)}
         augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in members}
@@ -159,7 +159,7 @@ def test_every_parameter_gets_a_gradient():
     and none that a TRAIN batchnorm cancels (a bias before one gets a max |grad| below 1e-17)."""
     ds = tiny_dataset()
     model = GcnModel.create(TINY_MODEL, ds.vocab, seed=0)
-    sampler = TripleSampler(ds.similarity, SamplerConfig(), candidates=ds.split.train)
+    sampler = TripleSampler(ds.similarity, SamplerConfig(), 0, candidates=ds.split.train)
     augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in ds.split.train}
     triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
     backward(_batch_loss(model, augmented, triples, LossConfig()))
