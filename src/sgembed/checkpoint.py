@@ -5,8 +5,10 @@ header, then the concatenated tensor data. The header stores the model
 config, the full vocabulary (so a checkpoint is self-contained), its
 hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
-buffers alike, tiling the payload in order) and any extra run metadata
-the trainer wants to keep.
+buffers alike, tiling the payload in order), the payload's length and
+any extra run metadata the trainer wants to keep. All but that metadata
+follows from the config and vocabulary: _header derives it for the writer,
+and the reader requires the file's directory and length to be what it gives.
 
 Only FORMAT_VERSION is read. A change to the tensor layout bumps it, and
 files of any other version are then refused, not upgraded.
@@ -14,6 +16,7 @@ files of any other version are then refused, not upgraded.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -26,6 +29,7 @@ from .scene import DatasetFormatError, Vocabulary, reading
 MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 4
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
+_GIVEN = "the model_config and vocabulary give"
 
 
 class CheckpointError(DatasetFormatError):
@@ -36,31 +40,30 @@ class CheckpointHashMismatch(CheckpointError):
     """Checkpoint vocabulary does not match the dataset it is used with."""
 
 
-def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
-    arrays = model.arrays()
-    directory = []
-    offset = 0
-    for name, arr in arrays.items():
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-    header = {
+def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
+    """Every header key but 'extra', as save_checkpoint writes it for a model of this config and vocabulary."""
+    tensors, offset = [], 0
+    for name, shape in array_shapes(config, vocab).items():
+        tensors.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
+    return {
         "format_version": FORMAT_VERSION,
-        "model_config": asdict(model.config),
-        "vocab": {
-            "objects": list(model.vocab.object_labels),
-            "relationships": list(model.vocab.relationship_labels),
-        },
-        "vocab_hash": model.vocab.content_hash(),
-        "tensors": directory,
+        "model_config": asdict(config),
+        "vocab": {"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)},
+        "vocab_hash": vocab.content_hash(),
+        "tensors": tensors,
         "total_floats": offset,
-        "extra": extra or {},
     }
+
+
+def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
+    header = {**_header(model.config, model.vocab), "extra": extra or {}}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for arr in arrays.values():
+        for arr in model.arrays().values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -90,9 +93,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         if not isinstance(extra, dict):
             raise CheckpointError("malformed 'extra': not a JSON object")
         payload_bytes = len(raw) - 16 - header_len
-        if payload_bytes / 8 != header["total_floats"]:  # also refuses a length frombuffer would
+        if payload_bytes / 8 != header["total_floats"]:
             raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {header['total_floats']} floats of 8)")
-        stored = _stored_tensors(header["tensors"], np.frombuffer(raw, dtype="<f8", offset=16 + header_len))
 
         config = _model_config(header["model_config"])
         vocab = Vocabulary(*(_field("vocab", header["vocab"], key, list) for key in ("objects", "relationships")))
@@ -104,47 +106,36 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             )
 
         # Checked before the model is allocated: the header's model_config alone can ask for any size.
-        if config.num_layers > len(stored):  # each layer holds tensors; array_shapes would walk them all
+        if not isinstance(header["tensors"], list):
+            raise CheckpointError("malformed 'tensors': not a JSON list")
+        if config.num_layers > len(header["tensors"]):  # each layer holds tensors; array_shapes would walk them all
             raise CheckpointError(f"model_config 'num_layers' {config.num_layers} exceeds the tensor directory")
-        expected = array_shapes(config, vocab)
-        if set(stored) != set(expected):
-            raise CheckpointError("tensor directory does not match the model structure")
-        for name, shape in expected.items():
-            if stored[name].shape != shape:
-                raise CheckpointError(f"tensor {name} has shape {list(stored[name].shape)}, model expects {list(shape)}")
+        layout = _header(config, vocab)
+        if _json(header["tensors"]) != _json(layout["tensors"]):
+            raise CheckpointError(_first_difference(header["tensors"], layout["tensors"]))
+        if _json(header["total_floats"]) != _json(layout["total_floats"]):
+            raise CheckpointError(f"'total_floats' is {_json(header['total_floats'])}; {_GIVEN} {layout['total_floats']}")
         model = GcnModel.create(config, vocab, seed=0)
-    for name, arr in model.arrays().items():
-        np.copyto(arr, stored[name])
+    payload = np.frombuffer(raw, dtype="<f8", offset=16 + header_len)
+    for arr, entry in zip(model.arrays().values(), layout["tensors"]):
+        np.copyto(arr, payload[entry["offset"] : entry["offset"] + arr.size].reshape(arr.shape))
     return model, extra
 
 
-def _stored_tensors(directory, payload: np.ndarray) -> dict[str, np.ndarray]:
-    """The header's tensor directory as name -> view of the payload.
+def _json(value) -> str:
+    """value as JSON text: the header is compared as text, since 5.0 == 5 and True == 1 yet only an int is a size."""
+    return json.dumps(value, sort_keys=True)
 
-    The entries tile the payload: no name repeats, each starts where the one
-    before it ends, and the last ends where the payload does.
-    """
-    if not isinstance(directory, list):
-        raise CheckpointError("malformed 'tensors': not a JSON list")
-    stored, end = {}, 0
-    for entry in directory:
-        name = _field("tensors", entry, "name", str)
-        shape = _field("tensors", entry, "shape", list)
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"tensor {name} has shape {shape}, not a list of sizes")
-        start = _field("tensors", entry, "offset", int)
-        if name in stored:
-            raise CheckpointError(f"tensor {name} is listed twice")
-        if start != end:
-            raise CheckpointError(f"tensor {name} offset {start} is not {end}, where the tensor before it ends")
-        end += math.prod(shape)
-        if end > payload.size:
-            raise CheckpointError(f"tensor {name} ends at {end}, past the payload's {payload.size} floats")
-        stored[name] = payload[start:end].reshape(shape)
-    if end != payload.size:
-        last = next(reversed(stored), None)
-        raise CheckpointError(f"the payload holds {payload.size - end} floats after the last tensor, {last}")
-    return stored
+
+def _first_difference(tensors: list, layout: list) -> str:
+    """The first entry of a tensor directory whose JSON text is not the layout's, and both entries."""
+    after = "the start"
+    for i, (entry, want) in enumerate(itertools.zip_longest(tensors, layout)):
+        if _json(entry) != _json(want):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            where = f"tensor {name}" if isinstance(name, str) else f"tensor directory entry {i}, after {after},"
+            return f"{where} is {_json(entry)}; {_GIVEN} {_json(want)}"
+        after = want["name"]
 
 
 def _model_config(values) -> ModelConfig:
@@ -159,4 +150,3 @@ def _field(section: str, entry, key: str, kind: type):
     if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
         raise CheckpointError(f"malformed {section!r}: not an object with a {kind.__name__} {key!r}")
     return entry[key]
-

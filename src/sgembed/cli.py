@@ -252,7 +252,7 @@ def _checkpoint_inputs(args):
             raise CheckpointError(f"malformed 'split_ratios': {e}") from None
     if args.split_seed is not None:
         seed = _non_negative("split_seed", args.split_seed)
-    indices = split_dataset(dataset, tuple(ratios), seed).indices(args.split)
+    indices = getattr(split_dataset(dataset, tuple(ratios), seed), args.split)
     return dataset, model, indices, _out_dir(args)
 
 

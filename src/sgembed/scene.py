@@ -31,7 +31,7 @@ import math
 import numbers
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,11 +151,6 @@ class Split:
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
-
-    def indices(self, name: str) -> tuple[int, ...]:
-        if name not in {f.name for f in fields(self)}:
-            raise ValueError(f"unknown split name {name!r}")
-        return getattr(self, name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -193,6 +194,51 @@ def test_malformed_header_names_file_and_key(model, tmp_path, mutate, key):
     assert str(path) in str(exc.value) and key in str(exc.value)
 
 
+def _swap_first_two(header):
+    """The first two tensors in each other's place, their offsets re-tiled: every tensor present, one order off."""
+    first, second = header["tensors"][:2]
+    header["tensors"][:2] = [{**second, "offset": 0}, {**first, "offset": math.prod(second["shape"])}]
+
+
+@pytest.mark.parametrize(
+    "mutate, tensor",
+    [
+        (_swap_first_two, "relationship_table"),
+        (lambda h: h["tensors"][0].update(shape=[5.0, 5]), "object_table"),
+        (lambda h: h["tensors"][1].update(offset=True), "relationship_table"),
+        (lambda h: h["tensors"][1].update(extra=1), "relationship_table"),
+    ],
+    ids=["reordered", "float_size", "bool_offset", "extra_key"],
+)
+def test_directory_that_is_not_the_layout_names_the_tensor(model, tmp_path, mutate, tensor):
+    """The directory must equal, as JSON, the one the header's model_config and vocabulary give: a
+    CheckpointError (exit 5) names the file and the first tensor that differs, and shows both entries."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    mutate(header)
+    _write_header(path, header, payload)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    message = f"{re.escape(str(path))}: tensor {re.escape(tensor)} is {{.*}}; the model_config and vocabulary give {{"
+    assert re.match(message, str(exc.value))
+
+
+@pytest.mark.parametrize("extra_floats, total", [(1, lambda n: n + 1), (0, float)], ids=["one_float_longer", "float"])
+def test_total_floats_that_is_not_the_layout_refused(model, tmp_path, extra_floats, total):
+    """A total_floats the payload agrees with is still refused unless it is the layout's, as a JSON int."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    n = header["total_floats"]
+    header["total_floats"] = total(n)
+    _write_header(path, header, payload + bytes(8 * extra_floats))
+    message = f"{path}: 'total_floats' is {total(n)}; the model_config and vocabulary give {n}"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key", ["objects", "relationships"])
 @pytest.mark.parametrize("label", [["cat"], {"cat": 1}, 3, None], ids=["list", "object", "number", "null"])
 def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):
@@ -215,7 +261,8 @@ def test_oversized_model_config_refused_before_allocating(tiny_vocab, tmp_path):
     _write_header(path, header, payload)
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match=re.escape("tensor layers.0.trunk_w has shape [12, 4], model expects")):
+        message = 'tensor layers.0.trunk_w is {"name": "layers.0.trunk_w", "offset": 36, "shape": [12, 4]}; the model_config'
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:

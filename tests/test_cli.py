@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,10 +86,10 @@ class TestPipeline:
         out = str(tmp_path / "eval")
         r = run_cli(["eval", "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--split", "test", "--out", out])
         assert r.returncode == 0, r.stderr
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = json.loads(Path(out, "eval_report.json").read_text())
         assert "model" in report and "normal_features" in report
         assert report["model"]["n_images"] >= 2
-        csv_text = open(os.path.join(out, "eval_report.csv")).read()
+        csv_text = Path(out, "eval_report.csv").read_text()
         assert csv_text.startswith("scope,metric,value")
 
     def test_retrieve_noise_zero_gives_mrr_one(self, pipeline, tmp_path):
@@ -97,7 +98,7 @@ class TestPipeline:
             ["retrieve", "--data", pipeline["data"], "--checkpoint", pipeline["ckpt"], "--noise", "0", "--seed", "1", "--out", out]
         )
         assert r.returncode == 0, r.stderr
-        rows = open(os.path.join(out, "retrieval.csv")).read().strip().splitlines()
+        rows = Path(out, "retrieval.csv").read_text().strip().splitlines()
         header, row = rows[0].split(","), rows[1].split(",")
         assert header[:2] == ["M", "mrr"]
         assert row[0] == "0" and float(row[1]) == 1.0
@@ -115,7 +116,7 @@ class TestPipeline:
             ]
         )
         assert r.returncode == 0, r.stderr
-        rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+        rows = Path(out, "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4 * 2
 
     def test_stats_prints_json(self, pipeline):
@@ -142,8 +143,8 @@ class TestPipeline:
             )
             assert r.returncode == 0, r.stderr
         for name in ("retrieval.csv", "recall_curve.csv", "resolved_config.json"):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
 
@@ -179,10 +180,10 @@ class TestConfigFile:
         out = str(tmp_path / "data")
         r = run_cli(["gen-data", "--config", str(config), "--n-images", "10", "--out", out])
         assert r.returncode == 0, r.stderr
-        resolved = json.load(open(os.path.join(out, "resolved_config.json")))
+        resolved = json.loads(Path(out, "resolved_config.json").read_text())
         assert resolved["n_images"] == 10  # flag beats the file
         assert resolved["n_object_labels"] == 20  # file value survives
-        lines = [l for l in open(os.path.join(out, "graphs.jsonl")).read().splitlines() if l]
+        lines = [l for l in Path(out, "graphs.jsonl").read_text().splitlines() if l]
         assert len(lines) == 10
 
     @pytest.mark.parametrize("value", [20.9, True, "abc", [20]])
@@ -368,7 +369,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"{error.__name__}: ")
 
     def test_malformed_checkpoint_header(self, pipeline, tmp_path):
-        blob = open(pipeline["ckpt"], "rb").read()
+        blob = Path(pipeline["ckpt"]).read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
         del header["vocab_hash"]
@@ -392,7 +393,7 @@ class TestExitCodes:
         ],
     )
     def test_malformed_split_metadata(self, pipeline, tmp_path, capsys, key, value):
-        blob = open(pipeline["ckpt"], "rb").read()
+        blob = Path(pipeline["ckpt"]).read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
         header["extra"][key] = value
@@ -407,7 +408,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key", ["objects", "relationships"])
     def test_checkpoint_vocabulary_entry_that_is_not_a_string(self, pipeline, tmp_path, capsys, key):
-        blob = open(pipeline["ckpt"], "rb").read()
+        blob = Path(pipeline["ckpt"]).read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
         header["vocab"][key][0] = ["not", "a", "label"]
@@ -421,7 +422,7 @@ class TestExitCodes:
         assert not (out / "eval_report.json").exists()
 
     def test_version_3_checkpoint_is_refused(self, pipeline, tmp_path, capsys):
-        blob = open(pipeline["ckpt"], "rb").read()
+        blob = Path(pipeline["ckpt"]).read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
         header["format_version"] = 3
@@ -446,7 +447,7 @@ class TestExitCodes:
     )
     def test_misfit_tensor_directory_names_the_tensor(self, pipeline, tmp_path, capsys, mutate, tensor):
         """Exit 5 for a directory that does not tile the payload or does not fit the header's model_config."""
-        blob = open(pipeline["ckpt"], "rb").read()
+        blob = Path(pipeline["ckpt"]).read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16 : 16 + n])
         mutate(header)
@@ -541,7 +542,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("cut", [1, 3])
     def test_checkpoint_cut_short_names_the_file(self, pipeline, tmp_path, capsys, cut):
         ckpt = tmp_path / "cut.ckpt"
-        ckpt.write_bytes(open(pipeline["ckpt"], "rb").read()[:-cut])
+        ckpt.write_bytes(Path(pipeline["ckpt"]).read_bytes()[:-cut])
         out = tmp_path / "e"
         assert main(["eval", "--data", pipeline["data"], "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_BAD_DATA
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"CheckpointError: {ckpt}: truncated payload")

@@ -1,5 +1,7 @@
 """Synthetic generator: determinism, similarity band, learnability signal."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestGenerate:
         save_dataset(generate(FAST), *paths1)
         save_dataset(generate(FAST), *paths2)
         for p1, p2 in zip(paths1, paths2):
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_different_seed_different_data(self):
         ds1 = generate(FAST)
