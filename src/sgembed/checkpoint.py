@@ -30,6 +30,7 @@ MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 4
 _REQUIRED_KEYS = ("total_floats", "tensors", "model_config", "vocab", "vocab_hash")
 _GIVEN = "the model_config and vocabulary give"
+_MISSING = object()  # zip_longest's fill for a directory shorter or longer than the layout; equal to no JSON value
 
 
 class CheckpointError(DatasetFormatError):
@@ -40,30 +41,39 @@ class CheckpointHashMismatch(CheckpointError):
     """Checkpoint vocabulary does not match the dataset it is used with."""
 
 
-def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
-    """Every header key but 'extra', as save_checkpoint writes it for a model of this config and vocabulary."""
+def _layout(config: ModelConfig, vocab: Vocabulary) -> tuple[list[dict], int]:
+    """The tensor directory (name, shape, offset, in layout order) and total_floats of this config and vocabulary."""
     tensors, offset = [], 0
     for name, shape in array_shapes(config, vocab).items():
         tensors.append({"name": name, "shape": list(shape), "offset": offset})
         offset += math.prod(shape)
+    return tensors, offset
+
+
+def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
+    """Every header key but 'extra', as save_checkpoint writes it for a model of this config and vocabulary."""
+    tensors, total_floats = _layout(config, vocab)
     return {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(config),
         "vocab": {"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)},
         "vocab_hash": vocab.content_hash(),
         "tensors": tensors,
-        "total_floats": offset,
+        "total_floats": total_floats,
     }
 
 
 def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
     header = {**_header(model.config, model.vocab), "extra": extra or {}}
+    arrays = model.arrays()
+    if [(t["name"], tuple(t["shape"])) for t in header["tensors"]] != [(n, a.shape) for n, a in arrays.items()]:
+        raise ValueError("the model's arrays are not the layout that its config and vocabulary give")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for arr in model.arrays().values():
+        for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -110,32 +120,26 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             raise CheckpointError("malformed 'tensors': not a JSON list")
         if config.num_layers > len(header["tensors"]):  # each layer holds tensors; array_shapes would walk them all
             raise CheckpointError(f"model_config 'num_layers' {config.num_layers} exceeds the tensor directory")
-        layout = _header(config, vocab)
-        if _json(header["tensors"]) != _json(layout["tensors"]):
-            raise CheckpointError(_first_difference(header["tensors"], layout["tensors"]))
-        if _json(header["total_floats"]) != _json(layout["total_floats"]):
-            raise CheckpointError(f"'total_floats' is {_json(header['total_floats'])}; {_GIVEN} {layout['total_floats']}")
+        layout, total_floats = _layout(config, vocab)
+        after = "the start"
+        for i, (entry, want) in enumerate(itertools.zip_longest(header["tensors"], layout, fillvalue=_MISSING)):
+            if _json(entry) != _json(want):
+                name = entry.get("name") if isinstance(entry, dict) else None
+                where = f"tensor {name}" if isinstance(name, str) else f"tensor directory entry {i}, after {after},"
+                raise CheckpointError(f"{where} is {_json(entry)}; {_GIVEN} {_json(want)}")
+            after = want["name"]
+        if _json(header["total_floats"]) != _json(total_floats):
+            raise CheckpointError(f"'total_floats' is {_json(header['total_floats'])}; {_GIVEN} {total_floats}")
         model = GcnModel.create(config, vocab, seed=0)
     payload = np.frombuffer(raw, dtype="<f8", offset=16 + header_len)
-    for arr, entry in zip(model.arrays().values(), layout["tensors"]):
+    for arr, entry in zip(model.arrays().values(), layout):
         np.copyto(arr, payload[entry["offset"] : entry["offset"] + arr.size].reshape(arr.shape))
     return model, extra
 
 
 def _json(value) -> str:
     """value as JSON text: the header is compared as text, since 5.0 == 5 and True == 1 yet only an int is a size."""
-    return json.dumps(value, sort_keys=True)
-
-
-def _first_difference(tensors: list, layout: list) -> str:
-    """The first entry of a tensor directory whose JSON text is not the layout's, and both entries."""
-    after = "the start"
-    for i, (entry, want) in enumerate(itertools.zip_longest(tensors, layout)):
-        if _json(entry) != _json(want):
-            name = entry.get("name") if isinstance(entry, dict) else None
-            where = f"tensor {name}" if isinstance(name, str) else f"tensor directory entry {i}, after {after},"
-            return f"{where} is {_json(entry)}; {_GIVEN} {_json(want)}"
-        after = want["name"]
+    return "missing" if value is _MISSING else json.dumps(value, sort_keys=True)
 
 
 def _model_config(values) -> ModelConfig:

@@ -21,6 +21,7 @@ from sgembed.model import GcnModel, ModelConfig, embed_graphs, forward
 from sgembed.scene import DatasetFormatError, SceneGraph, Vocabulary, augment_trivial
 from sgembed.tensor import Mode
 
+_GIVEN = "the model_config and vocabulary give"
 SMALL = ModelConfig(label_dim=5, message_dim=4, out_dim=3, num_layers=2, mlp_hidden=6)
 
 
@@ -223,6 +224,39 @@ def test_directory_that_is_not_the_layout_names_the_tensor(model, tmp_path, muta
     assert type(exc.value) is CheckpointError
     message = f"{re.escape(str(path))}: tensor {re.escape(tensor)} is {{.*}}; the model_config and vocabulary give {{"
     assert re.match(message, str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda t: t.append(None), lambda n: f"entry {len(n)}, after {n[-1]}, is null; {_GIVEN} missing"),
+        (lambda t: t.pop(), lambda n: f"entry {len(n) - 1}, after {n[-2]}, is missing; {_GIVEN} {{"),
+        (lambda t: t[0].pop("name"), lambda n: f'entry 0, after the start, is {{"offset": 0, "shape": [5, 5]}}; {_GIVEN} {{'),
+    ],
+    ids=["trailing_null", "last_missing", "nameless"],
+)
+def test_directory_entry_without_a_name_is_named_by_its_place(model, tmp_path, mutate, message):
+    """An entry past the layout's end, one short of it, or one with no name is named by its index and the
+    layout's tensor before it, still as a plain CheckpointError (exit 5) that begins with the path."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    names = [t["name"] for t in header["tensors"]]
+    mutate(header["tensors"])
+    _write_header(path, header, payload)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    assert str(exc.value).startswith(f"{path}: tensor directory {message(names)}")
+
+
+def test_model_whose_arrays_are_not_its_layout_is_not_saved(model, tmp_path):
+    """The writer describes the arrays by their config and vocabulary, so it refuses arrays that differ."""
+    model.object_table.data = model.object_table.data[:1]
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="the model's arrays are not the layout"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("extra_floats, total", [(1, lambda n: n + 1), (0, float)], ids=["one_float_longer", "float"])

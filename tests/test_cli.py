@@ -442,8 +442,9 @@ class TestExitCodes:
             (lambda h: h["tensors"].insert(1, dict(h["tensors"][0])), "object_table"),
             (lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] + 1), "layers.0.trunk_w"),
             (lambda h: h["model_config"].update(mlp_hidden=400_000), "layers.0.trunk_w"),
+            (lambda h: h["tensors"].append(None), "directory entry"),
         ],
-        ids=["overlap", "duplicate", "gap", "oversized_model_config"],
+        ids=["overlap", "duplicate", "gap", "oversized_model_config", "trailing_null"],
     )
     def test_misfit_tensor_directory_names_the_tensor(self, pipeline, tmp_path, capsys, mutate, tensor):
         """Exit 5 for a directory that does not tile the payload or does not fit the header's model_config."""
