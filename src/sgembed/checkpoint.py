@@ -7,8 +7,9 @@ hash for fast dataset compatibility checks, the tensor directory
 (name/shape/offset in float64 units, parameters and batchnorm running
 buffers alike, tiling the payload in order), the payload's length and
 any extra run metadata the trainer wants to keep. All but that metadata
-follows from the config and vocabulary: _header derives it for the writer,
-and the reader requires the file's directory and length to be what it gives.
+follows from the config and vocabulary. _layout derives the directory and
+length for the writer (through _header) and for the reader, which requires
+the file's to be, entry for entry, what it gives.
 
 Only FORMAT_VERSION is read. A change to the tensor layout bumps it, and
 files of any other version are then refused, not upgraded.
