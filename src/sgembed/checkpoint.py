@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import GcnModel, ModelConfig, array_shapes
+from .model import GcnModel, ModelConfig, array_shapes, check_layout
 from .scene import DatasetFormatError, Vocabulary, reading
 
 MAGIC = b"SGEMBED1"
@@ -67,8 +67,7 @@ def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
 def save_checkpoint(model: GcnModel, path, extra: dict | None = None) -> None:
     header = {**_header(model.config, model.vocab), "extra": extra or {}}
     arrays = model.arrays()
-    if [(t["name"], tuple(t["shape"])) for t in header["tensors"]] != [(n, a.shape) for n, a in arrays.items()]:
-        raise ValueError("the model's arrays are not the layout that its config and vocabulary give")
+    check_layout(model.config, model.vocab, arrays)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -131,11 +130,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             after = want["name"]
         if _json(header["total_floats"]) != _json(total_floats):
             raise CheckpointError(f"'total_floats' is {_json(header['total_floats'])}; {_GIVEN} {total_floats}")
-        model = GcnModel.create(config, vocab, seed=0)
-    payload = np.frombuffer(raw, dtype="<f8", offset=16 + header_len)
-    for arr, entry in zip(model.arrays().values(), layout):
-        np.copyto(arr, payload[entry["offset"] : entry["offset"] + arr.size].reshape(arr.shape))
-    return model, extra
+    # Copied, so that the model's arrays are writable and aligned: numpy's matmul hands only aligned arrays to BLAS.
+    payload = np.frombuffer(raw, dtype="<f8", offset=16 + header_len).copy()
+    arrays = {t["name"]: payload[t["offset"] : t["offset"] + math.prod(t["shape"])].reshape(t["shape"]) for t in layout}
+    return GcnModel(config, vocab, arrays), extra
 
 
 def _json(value) -> str:

@@ -19,7 +19,8 @@ offset per graph and a per-node graph id drives the pooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,110 +50,87 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig.{f.name} must be a positive int, got {value!r}")
 
 
-@dataclass
-class GcnLayerParams:
-    """Learnable weights of one convolution layer plus its batchnorm buffers."""
-
-    trunk_w: Tensor
-    trunk_gamma: Tensor
-    trunk_beta: Tensor
-    trunk_bn: BatchNormState
-    head_s_w: Tensor
-    head_s_b: Tensor
-    head_t_w: Tensor
-    head_e_w: Tensor | None  # None in the last layer
-    node_w1: Tensor
-    node_gamma: Tensor
-    node_beta: Tensor
-    node_bn: BatchNormState
-    node_w2: Tensor
-    node_b2: Tensor
-
-    def named(self, kind: type) -> dict:
-        """Fields holding a ``kind`` (Tensor: parameters, BatchNormState: buffers) by name, in
-        field order: that order is the checkpoint's tensor layout."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if isinstance(getattr(self, f.name), kind)}
-
-
-def _linear(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
+def _linear(rng, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
     # He-uniform weights. The biases kept are head_s_b and node_b2;
     # they are small-uniform rather than zero so that a row whose activations
     # all die still emits a safely-normalizable vector.
     w_bound = math.sqrt(6.0 / fan_in)
     b_bound = 1.0 / math.sqrt(fan_in)
-    w = Tensor(rng.uniform(-w_bound, w_bound, size=(fan_in, fan_out)), requires_grad=True)
-    b = Tensor(rng.uniform(-b_bound, b_bound, size=fan_out), requires_grad=True)
-    return w, b
+    return rng.uniform(-w_bound, w_bound, size=(fan_in, fan_out)), rng.uniform(-b_bound, b_bound, size=fan_out)
 
 
-def _batchnorm(width: int) -> tuple[Tensor, Tensor, BatchNormState]:
-    """Scale, shift and running statistics of a fresh batchnorm."""
-    gamma = Tensor(np.ones(width), requires_grad=True)
-    beta = Tensor(np.zeros(width), requires_grad=True)
-    return gamma, beta, BatchNormState.create(width)
-
-
-def _create_layer(rng, width_in: int, config: ModelConfig) -> GcnLayerParams:
+def _draw_layer(rng, width_in: int, config: ModelConfig) -> dict[str, np.ndarray]:
+    """The random weights of one layer, edge head included, by name."""
     h, out, hidden = config.message_dim, config.out_dim, config.mlp_hidden
-    # Draw order fixes the weights a seed gives; arguments follow the field order.
-    # The biases batchnorm cancels are drawn and dropped, like the last edge head;
-    # head_t_b is folded into head_s_b, since node batchnorm cancels their common shift.
+    # Draw order fixes the weights a seed gives. The biases batchnorm cancels
+    # are drawn and dropped; head_t_b is folded into head_s_b, since node
+    # batchnorm cancels their common shift.
     trunk_w, _ = _linear(rng, 3 * width_in, hidden)
     head_s_w, head_s_b = _linear(rng, hidden, h)
     head_t_w, head_t_b = _linear(rng, hidden, h)
     head_e_w, _ = _linear(rng, hidden, out)
     node_w1, _ = _linear(rng, h, hidden)
-    node_2 = _linear(rng, hidden, out)
-    head_s_b.data -= head_t_b.data
-    return GcnLayerParams(
-        trunk_w, *_batchnorm(hidden), head_s_w, head_s_b, head_t_w, head_e_w, node_w1, *_batchnorm(hidden), *node_2
-    )
+    node_w2, node_b2 = _linear(rng, hidden, out)
+    head_s_b -= head_t_b
+    heads = {"head_s_w": head_s_w, "head_s_b": head_s_b, "head_t_w": head_t_w, "head_e_w": head_e_w}
+    return {"trunk_w": trunk_w, **heads, "node_w1": node_w1, "node_w2": node_w2, "node_b2": node_b2}
+
+
+_BATCHNORMS = ("trunk_bn", "node_bn")
+_BUFFERS = (".running_mean", ".running_var")
 
 
 class GcnModel:
-    """All learnable state: two label-embedding tables plus the layer stack."""
+    """All learnable state: two label-embedding tables plus the layer stack.
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, object_table, relationship_table, layers):
+    Built on a name -> array table in array_shapes order, whose arrays it
+    shares. Layer i is a view of the entries named ``layers.{i}.<name>``
+    by <name>: parameters as tensors, ``trunk_bn`` / ``node_bn`` as
+    BatchNormStates, and ``head_e_w`` None in the last layer.
+    """
+
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, arrays: dict[str, np.ndarray]):
+        check_layout(config, vocab, arrays)
         self.config = config
         self.vocab = vocab
-        self.object_table = object_table
-        self.relationship_table = relationship_table
-        self.layers = layers
+        self._params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items() if not n.endswith(_BUFFERS)}
+        self._buffers = {n: a for n, a in arrays.items() if n.endswith(_BUFFERS)}
+        self.object_table = self._params["object_table"]
+        self.relationship_table = self._params["relationship_table"]
+        self.layers = [self._layer(f"layers.{i}.") for i in range(config.num_layers)]
+
+    def _layer(self, prefix: str) -> SimpleNamespace:
+        tensors = {n.removeprefix(prefix): p for n, p in self._params.items() if n.startswith(prefix)}
+        bn = {b: BatchNormState(*(self._buffers[f"{prefix}{b}{s}"] for s in _BUFFERS)) for b in _BATCHNORMS}
+        return SimpleNamespace(**{"head_e_w": None, **tensors, **bn})
 
     @classmethod
     def create(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0) -> "GcnModel":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        d = config.label_dim
-        table_std = 1.0 / math.sqrt(d)
-        object_table = Tensor(
-            rng.normal(0.0, table_std, size=(len(vocab.object_labels), d)), requires_grad=True
-        )
-        relationship_table = Tensor(
-            rng.normal(0.0, table_std, size=(len(vocab.relationship_labels), d)), requires_grad=True
-        )
-        layers = [_create_layer(rng, d if i == 0 else config.out_dim, config) for i in range(config.num_layers)]
-        # Drawn and then dropped, so every other weight a seed gives is unchanged.
-        layers[-1].head_e_w = None
-        return cls(config, vocab, object_table, relationship_table, layers)
+        shapes = array_shapes(config, vocab)
+        table_std = 1.0 / math.sqrt(config.label_dim)
+        drawn = {n: rng.normal(0.0, table_std, size=shapes[n]) for n in ("object_table", "relationship_table")}
+        for i in range(config.num_layers):
+            width_in = config.label_dim if i == 0 else config.out_dim
+            drawn |= {f"layers.{i}.{n}": a for n, a in _draw_layer(rng, width_in, config).items()}
+        # The last edge head is drawn and dropped, so every other weight a seed gives is unchanged.
+        # Every batchnorm starts as the identity: scale and running variance one, shift and running mean zero.
+        arrays = {}
+        for name, shape in shapes.items():
+            fill = np.ones if name.endswith(("_gamma", ".running_var")) else np.zeros
+            arrays[name] = drawn[name] if name in drawn else fill(shape)
+        return cls(config, vocab, arrays)
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"object_table": self.object_table, "relationship_table": self.relationship_table}
-        for i, layer in enumerate(self.layers):
-            params.update({f"layers.{i}.{name}": p for name, p in layer.named(Tensor).items()})
-        return params
+        return dict(self._params)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every parameter's array, then every batchnorm buffer, by name: the checkpoint's tensor layout."""
-        arrays = {name: p.data for name, p in self.parameters().items()}
-        for i, layer in enumerate(self.layers):
-            for name, bn in layer.named(BatchNormState).items():
-                arrays[f"layers.{i}.{name}.running_mean"] = bn.running_mean
-                arrays[f"layers.{i}.{name}.running_var"] = bn.running_var
-        return arrays
+        return {n: p.data for n, p in self._params.items()} | self._buffers
 
 
 def array_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
-    """The names and shapes of GcnModel.create(config, vocab).arrays(), in order, without allocating them."""
+    """The names and shapes of a model's arrays, in order: the one tensor layout of GcnModel and its checkpoints."""
     d, h, out, hidden, n = config.label_dim, config.message_dim, config.out_dim, config.mlp_hidden, config.num_layers
     shapes = {"object_table": (len(vocab.object_labels), d), "relationship_table": (len(vocab.relationship_labels), d)}
     for i in range(n):
@@ -162,8 +140,14 @@ def array_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int,
         layer |= {"node_w1": (h, hidden), "node_gamma": (hidden,), "node_beta": (hidden,)}
         layer |= {"node_w2": (hidden, out), "node_b2": (out,)}
         shapes |= {f"layers.{i}.{name}": shape for name, shape in layer.items()}
-    buffers = [f"{bn}.running_{stat}" for bn in ("trunk_bn", "node_bn") for stat in ("mean", "var")]
+    buffers = [bn + stat for bn in _BATCHNORMS for stat in _BUFFERS]
     return shapes | {f"layers.{i}.{name}": (hidden,) for i in range(n) for name in buffers}
+
+
+def check_layout(config: ModelConfig, vocab: Vocabulary, arrays: dict[str, np.ndarray]) -> None:
+    """Raise ValueError unless ``arrays`` has array_shapes(config, vocab)'s names and shapes, in its order."""
+    if [(n, a.shape) for n, a in arrays.items()] != list(array_shapes(config, vocab).items()):
+        raise ValueError("the model's arrays are not the layout that its config and vocabulary give")
 
 
 @dataclass
@@ -229,7 +213,7 @@ def _matmul_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, state: Ba
 
 
 def layer_forward(
-    layer: GcnLayerParams,
+    layer: SimpleNamespace,
     node_states: Tensor,
     edge_states: Tensor,
     batch: BatchedGraph,
@@ -301,9 +285,9 @@ def embed_graphs(model: GcnModel, graphs) -> np.ndarray:
     EVAL-mode forwards on parameters that share the model's arrays but record
     no tape."""
     graphs = list(graphs)
-    tables = (Tensor(model.object_table.data), Tensor(model.relationship_table.data))
-    layers = [replace(layer, **{n: Tensor(p.data) for n, p in layer.named(Tensor).items()}) for layer in model.layers]
-    frozen = GcnModel(model.config, model.vocab, *tables, layers)
+    frozen = GcnModel(model.config, model.vocab, model.arrays())
+    for p in frozen.parameters().values():
+        p.requires_grad = False
     out = np.empty((len(graphs), model.config.out_dim))
     for chunk in _edge_budget_chunks(graphs):
         out[chunk] = forward(frozen, graphs[chunk], Mode.EVAL).data

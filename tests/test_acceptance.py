@@ -465,7 +465,9 @@ def test_criterion_6_runtime_budget(pipeline):
 
 
 def test_criterion_7_byte_identical_reruns(pipeline):
-    """Identical seeds reproduce every runlog/report file byte for byte."""
+    """Identical seeds reproduce every runlog/report file byte for byte, for the same numpy/BLAS build and
+    BLAS thread settings: OpenBLAS splits a weight gradient's reduction by thread count, so a rerun under
+    OPENBLAS_NUM_THREADS=1 and =2 moved all 33 model arrays of the acceptance run, by up to 2.7e-15."""
     root = pipeline["root"]
     run1, run2 = os.path.join(root, "run1"), os.path.join(root, "run2")
     compared = 0

@@ -43,6 +43,20 @@ def test_round_trip_is_exact(model, tmp_path):
     assert loaded.layers[0].trunk_bn.running_mean[0] == 0.25
 
 
+def test_load_draws_no_random_model(model, tmp_path, monkeypatch):
+    """A load builds its model on the payload: neither GcnModel.create nor any random generator runs."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random model")
+
+    monkeypatch.setattr(GcnModel, "create", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, _ = load_checkpoint(path)
+    assert models_equal(model, loaded)
+
+
 def test_truncated_file_detected(model, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)

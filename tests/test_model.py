@@ -73,6 +73,50 @@ def test_array_shapes_match_a_created_model(tiny_vocab, config):
     assert list(array_shapes(config, tiny_vocab).items()) == [(name, a.shape) for name, a in arrays.items()]
 
 
+def _without(name):
+    return lambda arrays: {n: a for n, a in arrays.items() if n != name}
+
+
+def _swapped(first, second):
+    swap = {first: second, second: first}
+    return lambda arrays: {swap.get(n, n): arrays[swap.get(n, n)] for n in arrays}
+
+
+def _reshaped(name):
+    return lambda arrays: {**arrays, name: np.zeros(arrays[name].size + 1)}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _without("layers.1.head_t_w"),
+        _swapped("layers.0.trunk_gamma", "layers.0.trunk_beta"),
+        _reshaped("layers.0.node_b2"),
+    ],
+    ids=["one_name_missing", "two_names_swapped", "one_shape_off"],
+)
+def test_table_that_is_not_the_layout_is_refused(tiny_vocab, edit):
+    """The constructor takes a created model's table and refuses it with one name missing, two names in each
+    other's place (trunk_gamma and trunk_beta share a shape, so only the order is off) or one shape off."""
+    arrays = GcnModel.create(SMALL, tiny_vocab, seed=3).arrays()
+    GcnModel(SMALL, tiny_vocab, arrays)
+    with pytest.raises(ValueError, match="^the model's arrays are not the layout that its config and vocabulary give$"):
+        GcnModel(SMALL, tiny_vocab, edit(arrays))
+
+
+def test_model_shares_the_arrays_it_is_built_on(tiny_vocab):
+    """Parameters, layer views and batchnorm states are the given arrays themselves, not copies."""
+    arrays = {name: np.full(shape, 0.5) for name, shape in array_shapes(SMALL, tiny_vocab).items()}
+    model = GcnModel(SMALL, tiny_vocab, arrays)
+    assert list(model.arrays()) == list(arrays)
+    assert all(a is arrays[name] for name, a in model.arrays().items())
+    first, last = model.layers
+    assert first.head_e_w.data is arrays["layers.0.head_e_w"] and last.head_e_w is None
+    assert last.trunk_w is model.parameters()["layers.1.trunk_w"] and last.trunk_w.data is arrays["layers.1.trunk_w"]
+    assert first.trunk_bn.running_mean is arrays["layers.0.trunk_bn.running_mean"]
+    assert last.node_bn.running_var is arrays["layers.1.node_bn.running_var"]
+
+
 class TestEmbedInputs:
     def test_single_node_gathers_table_row(self, model, tiny_vocab):
         batch = BatchedGraph.from_graphs([SceneGraph("x", (0,), ())])

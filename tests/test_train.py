@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import models_equal
-from sgembed.checkpoint import load_checkpoint
+from sgembed.checkpoint import load_checkpoint, save_checkpoint
 from sgembed.evaluate import evaluate
 from sgembed.model import GcnModel, ModelConfig
 from sgembed.objectives import LossConfig, SamplerConfig, TripleSampler
+from sgembed.optim import AdamState, adam_step
 from sgembed.scene import augment_trivial, split_dataset
 from sgembed.synth import SynthConfig, generate
 from sgembed.tensor import TapeNode, backward
@@ -165,6 +166,24 @@ def test_every_parameter_gets_a_gradient():
     backward(_batch_loss(model, augmented, triples, LossConfig()))
     assert [name for name, p in model.parameters().items() if p.grad is None] == []
     assert [name for name, p in model.parameters().items() if np.abs(p.grad).max() <= 1e-12] == []
+
+
+def test_loaded_model_trains_in_place(tmp_path):
+    """One TRAIN step on a loaded model changes every parameter and running statistic in the arrays it was
+    loaded into: a load gives the model writable arrays of its own, not views of the file's bytes."""
+    ds = tiny_dataset()
+    save_checkpoint(GcnModel.create(TINY_MODEL, ds.vocab, seed=0), tmp_path / "m.ckpt")
+    model, _ = load_checkpoint(tmp_path / "m.ckpt")
+    arrays = model.arrays()
+    before = {name: a.copy() for name, a in arrays.items()}
+    sampler = TripleSampler(ds.similarity, SamplerConfig(), 0, candidates=ds.split.train)
+    augmented = {i: augment_trivial(ds.graphs[i], ds.vocab) for i in ds.split.train}
+    triples = [sampler.sample_triple(a) for a in ds.split.train[:8]]
+    params = model.parameters()
+    backward(_batch_loss(model, augmented, triples, LossConfig()))
+    adam_step(params, AdamState.create(params, learning_rate=1e-3))
+    assert all(a is arrays[name] for name, a in model.arrays().items())
+    assert [name for name, a in arrays.items() if np.array_equal(a, before[name])] == []
 
 
 class TestDeterminism:
