@@ -57,7 +57,7 @@ def _header(config: ModelConfig, vocab: Vocabulary) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(config),
-        "vocab": {"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)},
+        "vocab": vocab.to_json(),
         "vocab_hash": vocab.content_hash(),
         "tensors": tensors,
         "total_floats": total_floats,

@@ -169,14 +169,16 @@ def evaluate_embeddings(embeddings: np.ndarray, sim_values: np.ndarray) -> EvalR
     model_sims = embeddings @ embeddings.T
     x, y = (v[~np.eye(n, dtype=bool)].reshape(n, max(n - 1, 0)) for v in (sim_values, model_sims))
     _check_pair(x.ravel(), y.ravel())  # non-finite similarities raise ValueError
-    iu = np.triu_indices(n, 1)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major, as np.triu_indices orders the pairs
+    pair_sims, pair_model_sims = sim_values[upper][None], model_sims[upper][None]
+    del upper  # n * n bytes that would stay live through row-wise Kendall, the call's peak
     row_wise, all_pairs, row_coverage = {}, {}, {}
     for name, metric in _METRICS.items():
         rows = metric(x, y)
         defined = rows[~np.isnan(rows)]
         row_coverage[name] = defined.size
         row_wise[name] = float(np.cumsum(defined)[-1] / defined.size) if defined.size else None  # left to right
-        (pairs,) = metric(sim_values[iu][None], model_sims[iu][None])
+        (pairs,) = metric(pair_sims, pair_model_sims)
         all_pairs[name] = None if np.isnan(pairs) else float(pairs)
     return EvalReport(row_wise=row_wise, all_pairs=all_pairs, n_images=n, row_coverage=row_coverage)
 

@@ -145,8 +145,10 @@ def array_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int,
 
 
 def check_layout(config: ModelConfig, vocab: Vocabulary, arrays: dict[str, np.ndarray]) -> None:
-    """Raise ValueError unless ``arrays`` has array_shapes(config, vocab)'s names and shapes, in its order."""
-    if [(n, a.shape) for n, a in arrays.items()] != list(array_shapes(config, vocab).items()):
+    """Raise ValueError unless ``arrays`` has array_shapes(config, vocab)'s names and shapes, in its order, and
+    every array is float64 and C-contiguous: an array that Tensor and the batchnorm states share without a copy."""
+    given = [(n, a.shape, a.dtype, a.flags.c_contiguous) for n, a in arrays.items()]
+    if given != [(n, shape, np.float64, True) for n, shape in array_shapes(config, vocab).items()]:
         raise ValueError("the model's arrays are not the layout that its config and vocabulary give")
 
 

@@ -102,12 +102,12 @@ class Vocabulary:
         except KeyError:
             raise UnknownLabelError(f"unknown relationship label {label!r}") from None
 
+    def to_json(self) -> dict[str, list[str]]:
+        """The vocabulary as the vocabulary file and the checkpoint header hold it."""
+        return {"objects": list(self.object_labels), "relationships": list(self.relationship_labels)}
+
     def content_hash(self) -> str:
-        payload = json.dumps(
-            {"objects": list(self.object_labels), "relationships": list(self.relationship_labels)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -126,14 +126,16 @@ class SceneGraph:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """NxN weak-supervision values in [0,1], aligned with the dataset's image order."""
+    """NxN weak-supervision values in [0,1], aligned with the dataset's image order; N is at least 1."""
 
     image_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
         n = len(self.image_ids)
+        if n == 0:
+            raise DatasetFormatError("similarity matrix has no images")
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.shape != (n, n):
             raise DimensionMismatchError(f"similarity must be {n}x{n}, got {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -205,7 +207,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    write_json({"objects": list(vocab.object_labels), "relationships": list(vocab.relationship_labels)}, path)
+    write_json(vocab.to_json(), path)
 
 
 def _node_index(value) -> int:

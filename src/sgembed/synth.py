@@ -140,27 +140,23 @@ def dataset_stats(dataset: Dataset) -> dict:
 
     Includes the median edge count (the usual choice for the retrieval
     noise level) and a histogram of absolute pairwise similarity
-    differences per anchor.
+    differences per anchor. A dataset has at least one image.
     """
     edge_counts = [len(g.edges) for g in dataset.graphs]
     object_counts = [len(g.nodes) for g in dataset.graphs]
     values = dataset.similarity.values
-    n = values.shape[0]
-    off_diag = values[~np.eye(n, dtype=bool)] if n > 1 else np.zeros(0)
+    off_diag = values[~np.eye(values.shape[0], dtype=bool)]
 
     diff_edges = np.linspace(0.0, 1.0, 21)
     diffs_hist = _difference_histogram(values, diff_edges)
-
-    sim_hist, sim_edges = (
-        np.histogram(off_diag, bins=20, range=(0.0, 1.0)) if off_diag.size else (np.zeros(20, np.int64), diff_edges)
-    )
+    sim_hist, sim_edges = np.histogram(off_diag, bins=20, range=(0.0, 1.0))
     return {
         "n_images": len(dataset.graphs),
-        "median_edges": int(round(float(np.median(edge_counts)))) if edge_counts else 0,
-        "mean_edges": float(np.mean(edge_counts)) if edge_counts else 0.0,
-        "mean_objects": float(np.mean(object_counts)) if object_counts else 0.0,
-        "min_objects": int(min(object_counts)) if object_counts else 0,
-        "max_objects": int(max(object_counts)) if object_counts else 0,
+        "median_edges": int(round(float(np.median(edge_counts)))),
+        "mean_edges": float(np.mean(edge_counts)),
+        "mean_objects": float(np.mean(object_counts)),
+        "min_objects": int(min(object_counts)),
+        "max_objects": int(max(object_counts)),
         "similarity_histogram": {
             "bin_edges": [round(float(e), 6) for e in sim_edges],
             "counts": sim_hist.tolist(),

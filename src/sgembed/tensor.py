@@ -7,18 +7,23 @@ benchmark's tracer times each of them.
 Data is always a C-contiguous float64 ndarray. Operations record tape
 nodes only when some input requires gradients, so frozen-model inference
 pays no bookkeeping cost. The recorded graph is rebuilt on every forward
-pass (define-by-run); ``backward`` lists its nodes once in topological
-order (parents before children) and replays them in reverse. A node keeps
-its input nodes and its requires-grad leaf tensors, never an intermediate
-tensor, and its rule keeps only the arrays it reads (``relu`` keeps the
-mask ``x > 0``, not ``x``). So an intermediate array that no rule reads is
-freed once the next op has consumed it, and reference counting frees the
-whole tape with its loss. Calling ``backward`` a second time without
-re-running the forward pass accumulates leaf gradients a second time.
+pass (define-by-run). Nodes are numbered as they are recorded, so a node's
+number is above its inputs' nodes', and ``backward`` replays the nodes below
+the loss from the newest down: each runs once, after all its consumers, and
+its output gradient is the sum of their shares in descending creation order.
+A node keeps its input nodes and its requires-grad leaf tensors, never an
+intermediate tensor, and its rule keeps only the arrays it reads (``relu``
+keeps the mask ``x > 0``, not ``x``). So an intermediate array that no rule
+reads is freed once the next op has consumed it, and reference counting
+frees the whole tape with its loss. Calling ``backward`` a second time
+without re-running the forward pass accumulates leaf gradients a second
+time.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -95,6 +100,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+_node_seq = itertools.count()
+
+
 class TapeNode:
     """One recorded primitive op: where each input's gradient goes, and the
     backward rule.
@@ -103,10 +111,11 @@ class TapeNode:
     recorded op made it, the tensor itself when it is a leaf that requires
     grad, and None otherwise. Neither ``out`` nor an intermediate input is
     kept; the rule's closure holds only the arrays it reads, so a tape holds
-    no reference cycle back to its tensors.
+    no reference cycle back to its tensors. ``seq`` numbers the nodes in
+    creation order, so every node's parents have smaller numbers than it.
     """
 
-    __slots__ = ("parents", "backward_fn", "name")
+    __slots__ = ("parents", "backward_fn", "name", "seq")
 
     def __init__(self, parents, out, backward_fn, name):
         self.parents = tuple(
@@ -114,29 +123,7 @@ class TapeNode:
         )
         self.backward_fn = backward_fn
         self.name = name
-
-
-def _topological_nodes(root: Tensor) -> list[TapeNode]:
-    """Every TapeNode reachable from root, each node's parents before the node."""
-    if root.node is None:
-        return []
-    order: list[TapeNode] = []
-    seen: set[int] = set()
-    # Iterative post-order DFS: parents are emitted before children.
-    stack: list[tuple[TapeNode, bool]] = [(root.node, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent is not None and not isinstance(parent, Tensor) and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+        self.seq = next(_node_seq)
 
 
 def backward(loss: Tensor) -> None:
@@ -152,20 +139,23 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    # Pending output gradients, keyed by the node that produced the output.
+    # Pending output gradients, keyed by the node that produced the output;
+    # the heap pops the newest pending node, whose consumers have all run.
     grads: dict[TapeNode, np.ndarray] = {loss.node: seed}
-    for node in reversed(_topological_nodes(loss)):
-        out_grad = grads.pop(node, None)
-        if out_grad is None:
-            continue
-        parent_grads = node.backward_fn(out_grad)
+    pending = [(-loss.node.seq, loss.node)]
+    while pending:
+        _, node = heapq.heappop(pending)
+        parent_grads = node.backward_fn(grads.pop(node))
         for parent, g in zip(node.parents, parent_grads):
             if parent is None or g is None:
                 continue
             if isinstance(parent, Tensor):
                 parent.grad = g if parent.grad is None else parent.grad + g
+            elif parent in grads:
+                grads[parent] = grads[parent] + g
             else:
-                grads[parent] = grads[parent] + g if parent in grads else g
+                grads[parent] = g
+                heapq.heappush(pending, (-parent.seq, parent))
 
 
 def _result(data, parents, backward_fn, name) -> Tensor:
@@ -256,8 +246,10 @@ def relu(a: Tensor) -> Tensor:
 def logsigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)), computed without overflow for large |x|."""
     x = a.data
-    out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-    sig_neg = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))), 1.0 / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    log1p_e = np.log1p(e)
+    out = np.where(x >= 0, -log1p_e, x - log1p_e)
+    sig_neg = np.where(x >= 0, e, 1.0) / (1.0 + e)  # sigmoid(-x)
     return _result(out, (a,), lambda g: (g * sig_neg,), "logsigmoid")
 
 

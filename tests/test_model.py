@@ -86,18 +86,25 @@ def _reshaped(name):
     return lambda arrays: {**arrays, name: np.zeros(arrays[name].size + 1)}
 
 
+def _converted(convert):
+    return lambda arrays: {n: convert(a) for n, a in arrays.items()}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _without("layers.1.head_t_w"),
         _swapped("layers.0.trunk_gamma", "layers.0.trunk_beta"),
         _reshaped("layers.0.node_b2"),
+        _converted(lambda a: a.astype(np.float32)),
+        _converted(np.asfortranarray),
     ],
-    ids=["one_name_missing", "two_names_swapped", "one_shape_off"],
+    ids=["one_name_missing", "two_names_swapped", "one_shape_off", "float32", "fortran_order"],
 )
 def test_table_that_is_not_the_layout_is_refused(tiny_vocab, edit):
     """The constructor takes a created model's table and refuses it with one name missing, two names in each
-    other's place (trunk_gamma and trunk_beta share a shape, so only the order is off) or one shape off."""
+    other's place (trunk_gamma and trunk_beta share a shape, so only the order is off), one shape off, or
+    arrays that Tensor would copy rather than share: float32, or Fortran-ordered 2-d arrays."""
     arrays = GcnModel.create(SMALL, tiny_vocab, seed=3).arrays()
     GcnModel(SMALL, tiny_vocab, arrays)
     with pytest.raises(ValueError, match="^the model's arrays are not the layout that its config and vocabulary give$"):

@@ -313,6 +313,10 @@ class TestTypes:
         with pytest.raises(DatasetFormatError):
             SimilarityMatrix(("a", "b"), values)
 
+    def test_similarity_without_images_rejected(self):
+        with pytest.raises(DatasetFormatError, match="^similarity matrix has no images$"):
+            SimilarityMatrix((), np.zeros((0, 0)))
+
     def test_dataset_checks_graph_order(self, tiny_vocab):
         g = SceneGraph("a", (0,), ())
         sim = SimilarityMatrix(("zzz",), np.ones((1, 1)))

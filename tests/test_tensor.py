@@ -65,6 +65,17 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data[1], -np.log(2.0), atol=1e-15)
         np.testing.assert_allclose(out.data[2], 0.0, atol=1e-15)
 
+    def test_logsigmoid_is_bit_identical_to_its_direct_expressions(self):
+        """Value and gradient equal, bit for bit, the expressions that compute exp(-|x|) and its log1p per use."""
+        x = t([-800.0, -1.0, -0.0, 0.0, 1e-300, 3.0, 800.0])
+        d = x.data.copy()
+        want_out = np.where(d >= 0, -np.log1p(np.exp(-np.abs(d))), d - np.log1p(np.exp(-np.abs(d))))
+        want_grad = np.where(d >= 0, np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))), 1.0 / (1.0 + np.exp(-np.abs(d))))
+        out = T.logsigmoid(x)
+        backward(T.sum(out))
+        assert out.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
 
 class TestBackwardBasics:
     def test_sum_grad_is_ones(self):
@@ -93,19 +104,47 @@ class TestBackwardBasics:
         backward(T.sum(y))
         np.testing.assert_allclose(x.grad, [5.0])
 
-    def test_tape_topological_order_and_single_visit(self):
-        x = t([[1.0, 2.0]])
-        h = T.relu(x)
-        loss = T.sum(T.mul(h, h))
-        nodes = T._topological_nodes(loss)
-        seen = set()
-        for node in nodes:
-            # A parent entry is the input's node, a requires-grad leaf, or None.
+    def test_backward_runs_each_rule_once_after_all_its_consumers(self, monkeypatch):
+        """Rules run through a TapeNode subclass, as the benchmark's tracer
+        records them. The row-normalized product has three consumers, like the
+        pooled embeddings of a triple's anchor, positive and negative, at
+        unequal depths below the loss, so a breadth-first walk would run it early."""
+        created, ran = [], []
+
+        class RecordingNode(T.TapeNode):
+            __slots__ = ()
+
+            def __init__(self, parents, out, backward_fn, name):
+                k = len(created)
+                created.append(self)
+
+                def recorded(g):
+                    ran.append(k)
+                    return backward_fn(g)
+
+                super().__init__(parents, out, recorded, name)
+
+        monkeypatch.setattr(T, "TapeNode", RecordingNode)
+        rng = np.random.default_rng(3)
+        x, w = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 3)))
+
+        def build():
+            pooled = T.rowwise_l2_normalize(T.matmul(x, w))
+            anchor, positive, negative = (T.gather_rows(pooled, i) for i in ([0, 1], [2, 3], [3, 0]))
+            ap, an = T.mul(anchor, T.mul_scalar(positive, 2.0)), T.mul(anchor, negative)
+            margin = T.sub(T.sum(ap, axis=1), T.sum(an, axis=1))
+            return T.sum(T.logsigmoid(margin))
+
+        backward(build())
+        index = {id(node): k for k, node in enumerate(created)}
+        assert [sum(p in node.parents for node in created) for p in created].count(3) == 1
+        assert sorted(ran) == list(range(len(created))), "a rule ran twice or not at all"
+        position = {k: i for i, k in enumerate(ran)}
+        for k, node in enumerate(created):
             for parent in node.parents:
-                if parent is not None and not isinstance(parent, T.Tensor):
-                    assert id(parent) in seen, "parent must precede child"
-            assert id(node) not in seen, "node listed twice"
-            seen.add(id(node))
+                if isinstance(parent, T.TapeNode):
+                    assert position[index[id(parent)]] > position[k], "a rule ran before one of its consumers"
+        assert relative_gradient_error(build, [x, w]) < 1e-4
 
     def test_tape_keeps_no_array_its_rules_do_not_read(self):
         """No rule reads the matmul or add output of relu(x @ w + b), so the
