@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .model import GcnModel, ModelConfig, array_shapes, check_layout
-from .scene import DatasetFormatError, Vocabulary, reading
+from .scene import DatasetFormatError, Vocabulary, json_object, reading
 
 MAGIC = b"SGEMBED1"
 FORMAT_VERSION = 4
@@ -88,11 +88,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         if len(raw) < 16 + header_len:
             raise CheckpointError("truncated header")
         try:
-            header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            text = raw[16 : 16 + header_len].decode("utf-8")
+        except UnicodeDecodeError as e:
             raise CheckpointError(f"corrupt header: {e}") from None
-        if not isinstance(header, dict):
-            raise CheckpointError("corrupt header: not a JSON object")
+        header = json_object(text, "checkpoint header", CheckpointError)
         version = header.get("format_version")
         if type(version) is not int or version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported format version {version!r}; only version {FORMAT_VERSION} is read")
@@ -107,7 +106,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {header['total_floats']} floats of 8)")
 
         config = _model_config(header["model_config"])
-        vocab = Vocabulary(*(_field("vocab", header["vocab"], key, list) for key in ("objects", "relationships")))
+        vocab = Vocabulary.from_json(header["vocab"], CheckpointError)
         if vocab.content_hash() != header["vocab_hash"]:
             raise CheckpointError("header vocabulary does not match its recorded hash")
         if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
@@ -146,10 +145,3 @@ def _model_config(values) -> ModelConfig:
         return ModelConfig(**values)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"malformed 'model_config': {e}") from None
-
-
-def _field(section: str, entry, key: str, kind: type):
-    """entry[key] of a header section, checked to be a ``kind``."""
-    if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
-        raise CheckpointError(f"malformed {section!r}: not an object with a {kind.__name__} {key!r}")
-    return entry[key]

@@ -40,9 +40,8 @@ from .objectives import (
     LOSS_KINDS,
     SAMPLER_KINDS,
 )
-from .scene import (
-    Dataset, DatasetFormatError, Split, check_split_ratios, load_dataset, reading, save_dataset, split_dataset, write_json
-)
+from .scene import Dataset, DatasetFormatError, Split, check_split_ratios, json_object, load_dataset, reading
+from .scene import save_dataset, split_dataset, write_json
 from .synth import SynthConfig, dataset_stats, generate
 from .train import TrainConfig, TrainingDivergedError, train
 
@@ -92,13 +91,7 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with reading(path), open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid config JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise DatasetFormatError("config must be a JSON object")
-    return raw
+        return json_object(fh.read(), "config")
 
 
 def _merged(file_values: dict, args, keys) -> dict:
@@ -125,11 +118,7 @@ def _dataset_paths(data_dir: str) -> tuple[str, str, str]:
 
 
 def _load_data(data_dir: str) -> Dataset:
-    graphs_path, sim_path, vocab_path = _dataset_paths(data_dir)
-    for p in (graphs_path, sim_path, vocab_path):
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"missing dataset file: {p}")
-    return load_dataset(graphs_path, sim_path, vocab_path)
+    return load_dataset(*_dataset_paths(data_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,9 @@ def ranking_target(s_ap, s_an):
     return np.divide(s_ap, total)
 
 
-def ranking_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = 1.0) -> Tensor:
+def ranking_loss(
+    f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = LossConfig.ranking_temperature
+) -> Tensor:
     """Mean cross-entropy between the ordering posterior and the soft target;
     s_ap and s_an are scalars or length-B arrays.
 
@@ -118,7 +120,7 @@ def ranking_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = 
     return _batch_mean(per_row, -1.0)
 
 
-def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = 0.5) -> Tensor:
+def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = LossConfig.margin) -> Tensor:
     """Mean hinge on the similarity gap; the kink's subgradient is 0 (inactive)."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
@@ -126,7 +128,7 @@ def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = 0.5) -> 
     return _batch_mean(T.relu(T.add(gap, Tensor(np.full(gap.shape, float(margin))))))
 
 
-def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = 1.0) -> Tensor:
+def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = LossConfig.infonce_temperature) -> Tensor:
     """Mean two-way softmax loss on the positive vs negative similarity.
 
     -log(e^(ap/t) / (e^(ap/t) + e^(an/t))) == -logsigmoid((ap - an)/t): the
@@ -215,8 +217,8 @@ class TripleSampler:
             raise DegenerateDistributionError(f"anchor {anchor}: all similarities are one")
         return row / pos_total, neg_weights / neg_total
 
-    def _sample_probability(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
-        pos_p, neg_p = self._probability_weights(anchor, row)
+    def _sample_probability(self, anchor: int, row: np.ndarray, weights=None) -> tuple[int, int]:
+        pos_p, neg_p = self._probability_weights(anchor, row) if weights is None else weights
         pi = int(self._rng.choice(len(row), p=pos_p))
         for _ in range(REDRAW_CAP):
             ni = int(self._rng.choice(len(row), p=neg_p))
@@ -226,8 +228,9 @@ class TripleSampler:
 
     def _sample_reject(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
         # Probability sampling with the ordering constraint; equality is accepted.
+        weights = self._probability_weights(anchor, row)  # once: every redraw uses the same row
         for _ in range(REDRAW_CAP):
-            pi, ni = self._sample_probability(anchor, row)
+            pi, ni = self._sample_probability(anchor, row, weights)
             if row[pi] >= row[ni]:
                 return pi, ni
         raise SamplerExhaustedError(

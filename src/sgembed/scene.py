@@ -15,7 +15,8 @@ File formats:
   similarity CSV; first row lists the image ids in dataset order, then an
              NxN block of floats formatted "%.6f".
 Each loader reads under reading(), so a refusal names its file (path:line for
-a graphs record, both files when graphs and similarity disagree).
+a graphs record, both files when graphs and similarity disagree). json_object
+parses every JSON input, these and a --config file or checkpoint header alike.
 
 Every JSON document and CSV file the pipeline writes goes through write_json
 (UTF-8, indent 1, keys sorted, a trailing newline) or write_csv (UTF-8, the
@@ -106,6 +107,14 @@ class Vocabulary:
         """The vocabulary as the vocabulary file and the checkpoint header hold it."""
         return {"objects": list(self.object_labels), "relationships": list(self.relationship_labels)}
 
+    @classmethod
+    def from_json(cls, obj, error=DatasetFormatError) -> "Vocabulary":
+        """The inverse of to_json; ``error`` unless ``obj`` is an object mapping both keys to lists."""
+        for key in ("objects", "relationships"):
+            if not (isinstance(obj, dict) and isinstance(obj.get(key), list)):
+                raise error(f"vocabulary {key!r} must be a list of strings")
+        return cls(obj["objects"], obj["relationships"])
+
     def content_hash(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -180,15 +189,20 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def json_object(text, what: str, error=DatasetFormatError) -> dict:
+    """``text`` as a JSON object; ``error`` for what json cannot read (deep nesting, huge integers) or a non-object."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"invalid {what} JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    return value
+
+
 def load_vocabulary(path) -> Vocabulary:
     with reading(path), open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"invalid vocabulary JSON: {e}") from None
-        if not isinstance(raw, dict) or "objects" not in raw or "relationships" not in raw:
-            raise DatasetFormatError("vocabulary must map 'objects' and 'relationships' to lists")
-        return Vocabulary(raw["objects"], raw["relationships"])
+        return Vocabulary.from_json(json_object(fh.read(), "vocabulary"))
 
 
 def write_json(obj, path) -> None:
@@ -235,15 +249,12 @@ def _parse_graph(line: str, vocab: Vocabulary) -> SceneGraph:
     and integral endpoints, a string image_id, no reserved object label, then
     per edge endpoints within the graph and no self-loop.
     """
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"invalid JSON: {e}") from None
+    rec = json_object(line, "graphs record")
     try:
         image_id = rec["image_id"]
         objects = rec["objects"]
         relationships = rec.get("relationships", [])
-    except (KeyError, TypeError):
+    except KeyError:
         raise DatasetFormatError("record missing image_id/objects") from None
     if not objects:
         raise DatasetFormatError(f"image {image_id!r} has no objects")
@@ -283,7 +294,10 @@ def save_graphs(graphs, vocab: Vocabulary, path) -> None:
 
 def load_similarity(path) -> SimilarityMatrix:
     with reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as e:  # a field past csv.field_size_limit()
+            raise DatasetFormatError(f"malformed similarity header: {e}") from None
         if header is None:
             raise DatasetFormatError("empty similarity file")
         try:

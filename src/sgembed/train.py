@@ -89,7 +89,7 @@ def train(
 
     When ``out_dir`` is given, writes last.ckpt, best.ckpt (by validation
     row-wise Kendall tau), optional periodic checkpoints, runlog.csv and
-    timing.csv there.
+    timing.csv there; the two logs after every epoch.
     """
     if dataset.split is None:
         raise ValueError("dataset has no split; call split_dataset first")
@@ -98,6 +98,7 @@ def train(
         raise ValueError(f"need at least 3 train images, got {len(train_idx)}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        write_runlog([], out_dir)  # rewritten after every epoch, so a run that stops keeps the epochs it finished
 
     model = GcnModel.create(config.model, dataset.vocab, seed=config.seed)
     params = model.parameters()
@@ -164,6 +165,7 @@ def train(
         )
 
         if out_dir is not None:
+            write_runlog(entries, out_dir)
             if val_tau is not None and (best_tau is None or val_tau > best_tau):
                 best_tau = val_tau
                 checkpoint("best.ckpt", epoch, val_tau)
@@ -175,6 +177,5 @@ def train(
         if best_tau is None:
             # No validation split: the last model is also the best known one.
             checkpoint("best.ckpt", config.epochs, None)
-        write_runlog(entries, out_dir)
     return model, entries
 

@@ -1,6 +1,7 @@
 """CLI pipeline: end-to-end smoke, exit codes, idempotent outputs, help text."""
 
 import argparse
+import csv
 import errno
 import json
 import os
@@ -523,11 +524,13 @@ class TestExitCodes:
              "DatasetFormatError", "image_id 1.5 is not a string"),
             ("graphs.jsonl", lambda b: b.replace(b'"label":"', b'"label":"__image__","x":"', 1), "graphs.jsonl:1",
              "DatasetFormatError", "img_00000: object label '__image__' is reserved for the image node"),
+            ("similarity.csv", lambda b: b"x" * (csv.field_size_limit() + 1) + b, "similarity.csv", "DatasetFormatError",
+             "malformed similarity header: field larger than field limit"),
         ],
         ids=[
             "graphs_not_utf8", "similarity_not_utf8", "vocabulary_not_utf8", "similarity_above_1", "similarity_negative",
             "similarity_nan", "graphs_one_record_short", "graphs_out_of_order", "image_id_not_a_string",
-            "reserved_object_label",
+            "reserved_object_label", "similarity_header_past_the_csv_field_limit",
         ],
     )
     def test_refused_dataset_file_is_named(self, pipeline, tmp_path, capsys, name, edit, culprit, error, message):
@@ -539,6 +542,36 @@ class TestExitCodes:
         assert main(["stats", "--data", str(data)]) == EXIT_BAD_DATA
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"{error}: {', '.join(f'{data}/{c}' for c in culprit.split(', '))}: {message}")
+
+    @pytest.mark.parametrize("case", ["nesting", "long_integer"])
+    @pytest.mark.parametrize("target", ["vocabulary", "config", "graphs", "checkpoint"])
+    def test_json_that_json_cannot_read_names_the_file(self, pipeline, tmp_path, capsys, target, case):
+        """Nesting past the recursion limit and an integer past CPython's 4,300-digit limit, in any JSON
+        input: exit 5, naming the file (file:line for a graphs record), as for any other invalid JSON."""
+        text = {"nesting": "[" * 100_000, "long_integer": '{"n": ' + "9" * 5000 + "}"}[case]
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        if target == "vocabulary":
+            (data / "vocabulary.json").write_text(text)
+            argv, culprit, error = ["stats", "--data", str(data)], f"{data}/vocabulary.json", "DatasetFormatError"
+        elif target == "config":
+            (tmp_path / "config.json").write_text(text)
+            argv = ["gen-data", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "g")]
+            culprit, error = f"{tmp_path}/config.json", "DatasetFormatError"
+        elif target == "graphs":
+            graphs = data / "graphs.jsonl"
+            graphs.write_text(text + "\n" + "".join(graphs.read_text().splitlines(True)[1:]))
+            argv, culprit, error = ["stats", "--data", str(data)], f"{graphs}:1", "DatasetFormatError"
+        else:
+            blob = Path(pipeline["ckpt"]).read_bytes()
+            n = int.from_bytes(blob[8:16], "little")
+            ckpt = tmp_path / "bad.ckpt"
+            ckpt.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text.encode("ascii") + blob[16 + n :])
+            argv = ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]
+            culprit, error = str(ckpt), "CheckpointError"
+        what = {"graphs": "graphs record", "checkpoint": "checkpoint header"}.get(target, target)
+        assert main(argv) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"{error}: {culprit}: invalid {what} JSON: ")
 
     @pytest.mark.parametrize("cut", [1, 3])
     def test_checkpoint_cut_short_names_the_file(self, pipeline, tmp_path, capsys, cut):

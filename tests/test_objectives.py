@@ -1,5 +1,6 @@
 """Loss formula oracles, loss gradients, and sampler postconditions."""
 
+import inspect
 import math
 
 import numpy as np
@@ -358,6 +359,22 @@ class TestSamplers:
         t = sampler.sample_triple(0)
         assert t.s_ap == t.s_an == 0.5
 
+    def test_reject_computes_the_weights_once_per_triple(self, monkeypatch):
+        """Redraws reuse the triple's weights, and draw the same triples as when each redraw recomputed them."""
+        calls = {"_probability_weights": 0, "_sample_probability": 0}
+        for name in calls:
+            def counted(self, *args, name=name, real=getattr(TripleSampler, name)):
+                calls[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(TripleSampler, name, counted)
+        values = np.random.default_rng(3).uniform(0.05, 0.95, size=(6, 6))
+        np.fill_diagonal(values, 1.0)
+        sampler = sampler_for(values, "reject", seed=11)
+        pairs = [(t.positive, t.negative) for t in (sampler.sample_triple(k % 6) for k in range(12))]
+        assert pairs == [(2, 4), (4, 3), (3, 4), (0, 1), (3, 2), (3, 2), (5, 1), (5, 0), (3, 1), (0, 5), (3, 1), (0, 1)]
+        assert calls == {"_probability_weights": 12, "_sample_probability": 18}  # six triples took a redraw
+
     def test_candidates_restrict_members(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0.1, 0.9, size=(12, 12))
@@ -395,6 +412,14 @@ class TestConfigs:
     def test_loss_config_refuses_non_finite_floats(self, field, value):
         with pytest.raises(ValueError, match=f"^LossConfig.{field} must be finite, got {value!r}$"):
             LossConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "loss, param, field",
+        [(ranking_loss, "nu", "ranking_temperature"), (triplet_loss, "margin", "margin"),
+         (infonce_loss, "temperature", "infonce_temperature")],
+    )
+    def test_loss_defaults_are_the_config_defaults(self, loss, param, field):
+        assert inspect.signature(loss).parameters[param].default == getattr(LossConfig(), field)
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Output files: the exact bytes each writer produces, and the one place files are opened for writing."""
+"""Output files: the exact bytes each writer produces, the one place files are opened for writing, and the one
+place JSON is parsed."""
 
 import ast
 import pathlib
@@ -169,8 +170,9 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
 
 
-def _file_writers() -> set[str]:
-    """module.function (module.outer.inner when nested) of every call in src/sgembed that writes a file."""
+def _callers(matches) -> set[str]:
+    """module.function (module.outer.inner when nested) of every call in src/sgembed for which
+    ``matches(call, name)`` holds, name being the called function's or method's name."""
     found = set()
 
     def visit(node, module, scope):
@@ -179,7 +181,7 @@ def _file_writers() -> set[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-            if (name == "open" and _opens_for_writing(node)) or name in _DIRECT_WRITES:
+            if matches(node, name):
                 found.add(".".join([module, *scope]))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -189,8 +191,24 @@ def _file_writers() -> set[str]:
     return found
 
 
+def _file_writers() -> set[str]:
+    """The functions in src/sgembed with a call that writes a file."""
+    return _callers(lambda call, name: (name == "open" and _opens_for_writing(call)) or name in _DIRECT_WRITES)
+
+
 def test_only_the_format_writers_open_files_for_writing():
     assert _file_writers() == WRITERS
+
+
+def _parses_json(call: ast.Call, name) -> bool:
+    """json.load(...) or json.loads(...)."""
+    func = call.func
+    return name in ("load", "loads") and isinstance(func, ast.Attribute) and ast.unparse(func.value) == "json"
+
+
+def test_only_json_object_parses_json():
+    """Every JSON input goes through scene.json_object, so each refuses what json cannot read the same way."""
+    assert _callers(_parses_json) == {"scene.json_object"}
 
 
 @pytest.mark.parametrize(

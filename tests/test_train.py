@@ -1,6 +1,8 @@
 """Training loop: determinism, checkpoint round trips, learning progress."""
 
 import gc
+import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,12 +12,12 @@ from conftest import models_equal
 from sgembed.checkpoint import load_checkpoint, save_checkpoint
 from sgembed.evaluate import evaluate
 from sgembed.model import GcnModel, ModelConfig
-from sgembed.objectives import LossConfig, SamplerConfig, TripleSampler
+from sgembed.objectives import LossConfig, SamplerConfig, TripleSampler, compute_loss
 from sgembed.optim import AdamState, adam_step
 from sgembed.scene import augment_trivial, split_dataset
 from sgembed.synth import SynthConfig, generate
-from sgembed.tensor import TapeNode, backward
-from sgembed.train import TrainConfig, _batch_loss, train
+from sgembed.tensor import TapeNode, Tensor, backward
+from sgembed.train import TrainConfig, TrainingDivergedError, _batch_loss, train
 
 TINY_MODEL = ModelConfig(label_dim=8, message_dim=8, out_dim=8, num_layers=2, mlp_hidden=8)
 
@@ -76,6 +78,23 @@ class TestTrainBasics:
     def test_config_refuses_a_non_finite_learning_rate(self, value):
         with pytest.raises(ValueError, match=f"^TrainConfig.learning_rate must be finite, got {value!r}$"):
             TrainConfig(learning_rate=value)
+
+    def test_diverged_run_keeps_the_epochs_it_finished(self, tmp_path, monkeypatch):
+        """runlog.csv and timing.csv are rewritten after every epoch, so a run that diverges in epoch 2 keeps epoch 1."""
+        ds = tiny_dataset()
+        steps_per_epoch = math.ceil(len(ds.split.train) / 8)
+        calls = []
+
+        def nan_from_epoch_2(*args):
+            calls.append(None)
+            return compute_loss(*args) if len(calls) <= steps_per_epoch else Tensor(np.array(np.nan))
+
+        # import_module: the package's ``train`` attribute is the function, not this module
+        monkeypatch.setattr(importlib.import_module("sgembed.train"), "compute_loss", nan_from_epoch_2)
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 2"):
+            train(ds, tiny_config(epochs=3), out_dir=str(tmp_path))
+        for name in ("runlog.csv", "timing.csv"):
+            assert [row.split(",")[0] for row in (tmp_path / name).read_text().splitlines()] == ["epoch", "1"]
 
     def test_runlog_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset()
