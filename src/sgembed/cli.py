@@ -109,6 +109,17 @@ def _write_resolved_config(args, out: str, values: dict) -> None:
     write_json({"command": args.command, **values}, os.path.join(out, "resolved_config.json"))
 
 
+def _environment() -> dict:
+    """What a training's bits depend on beyond its inputs: numpy, its BLAS build, the CPUs and the thread settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _dataset_paths(data_dir: str) -> tuple[str, str, str]:
     return (
         os.path.join(data_dir, GRAPHS_FILE),
@@ -214,7 +225,9 @@ def _cmd_train(args) -> int:
     dataset = _load_data(args.data)
     dataset = dataset.with_split(split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed))
     out = _out_dir(args)
-    _write_resolved_config(args, out, {"split_ratios": list(DEFAULT_SPLIT_RATIOS), **values})
+    _write_resolved_config(
+        args, out, {"split_ratios": list(DEFAULT_SPLIT_RATIOS), **values, "environment": _environment()}
+    )
     extra = {"split_seed": split_seed, "split_ratios": list(DEFAULT_SPLIT_RATIOS)}
     _, entries = train(dataset, config, out_dir=out, extra=extra)
     final = entries[-1].mean_loss if entries else float("nan")

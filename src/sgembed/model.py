@@ -12,6 +12,10 @@ Each MLP starts with matmul, batchnorm, relu. That matmul has no bias, nor
 has the edge head, whose output reaches the next trunk's batchnorm, nor the
 target message: node batchnorm cancels a shift common to both messages.
 
+GcnModel.create draws every array in array_shapes order from one seeded
+stream, by its kind. The two biases are small-uniform rather than zero, so
+that a row whose activations all die still emits a normalizable vector.
+
 Minibatches are processed as one disjoint-union graph: node indices are
 offset per graph and a per-node graph id drives the pooling.
 """
@@ -50,32 +54,6 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig.{f.name} must be a positive int, got {value!r}")
 
 
-def _linear(rng, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
-    # He-uniform weights. The biases kept are head_s_b and node_b2;
-    # they are small-uniform rather than zero so that a row whose activations
-    # all die still emits a safely-normalizable vector.
-    w_bound = math.sqrt(6.0 / fan_in)
-    b_bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-w_bound, w_bound, size=(fan_in, fan_out)), rng.uniform(-b_bound, b_bound, size=fan_out)
-
-
-def _draw_layer(rng, width_in: int, config: ModelConfig) -> dict[str, np.ndarray]:
-    """The random weights of one layer, edge head included, by name."""
-    h, out, hidden = config.message_dim, config.out_dim, config.mlp_hidden
-    # Draw order fixes the weights a seed gives. The biases batchnorm cancels
-    # are drawn and dropped; head_t_b is folded into head_s_b, since node
-    # batchnorm cancels their common shift.
-    trunk_w, _ = _linear(rng, 3 * width_in, hidden)
-    head_s_w, head_s_b = _linear(rng, hidden, h)
-    head_t_w, head_t_b = _linear(rng, hidden, h)
-    head_e_w, _ = _linear(rng, hidden, out)
-    node_w1, _ = _linear(rng, h, hidden)
-    node_w2, node_b2 = _linear(rng, hidden, out)
-    head_s_b -= head_t_b
-    heads = {"head_s_w": head_s_w, "head_s_b": head_s_b, "head_t_w": head_t_w, "head_e_w": head_e_w}
-    return {"trunk_w": trunk_w, **heads, "node_w1": node_w1, "node_w2": node_w2, "node_b2": node_b2}
-
-
 _BATCHNORMS = ("trunk_bn", "node_bn")
 _BUFFERS = (".running_mean", ".running_var")
 
@@ -106,20 +84,28 @@ class GcnModel:
 
     @classmethod
     def create(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0) -> "GcnModel":
+        """A model drawn in array_shapes order from one seeded stream, each array by its kind: label tables
+        normal with std 1/sqrt(label_dim), weight matrices He-uniform on fan-in shape[0], the biases head_s_b
+        and node_b2 uniform within 1/sqrt(mlp_hidden), gammas and running variances ones, betas and running
+        means zeros. An array of no listed kind raises ValueError."""
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        shapes = array_shapes(config, vocab)
-        table_std = 1.0 / math.sqrt(config.label_dim)
-        drawn = {n: rng.normal(0.0, table_std, size=shapes[n]) for n in ("object_table", "relationship_table")}
-        for i in range(config.num_layers):
-            width_in = config.label_dim if i == 0 else config.out_dim
-            drawn |= {f"layers.{i}.{n}": a for n, a in _draw_layer(rng, width_in, config).items()}
-        # The last edge head is drawn and dropped, so every other weight a seed gives is unchanged.
-        # Every batchnorm starts as the identity: scale and running variance one, shift and running mean zero.
-        arrays = {}
-        for name, shape in shapes.items():
-            fill = np.ones if name.endswith(("_gamma", ".running_var")) else np.zeros
-            arrays[name] = drawn[name] if name in drawn else fill(shape)
-        return cls(config, vocab, arrays)
+
+        def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name.endswith("_table"):
+                return rng.normal(0.0, 1.0 / math.sqrt(config.label_dim), size=shape)
+            if name.endswith(("_w", "_w1", "_w2")):
+                bound = math.sqrt(6.0 / shape[0])
+                return rng.uniform(-bound, bound, size=shape)
+            if name.endswith(("_b", "_b2")):
+                bound = 1.0 / math.sqrt(config.mlp_hidden)
+                return rng.uniform(-bound, bound, size=shape)
+            if name.endswith(("_gamma", ".running_var")):
+                return np.ones(shape)
+            if name.endswith(("_beta", ".running_mean")):
+                return np.zeros(shape)
+            raise ValueError(f"no initialization law for the model array {name!r}")
+
+        return cls(config, vocab, {name: draw(name, shape) for name, shape in array_shapes(config, vocab).items()})
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)

@@ -349,10 +349,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
 
-    @classmethod
-    def create(cls, num_features: int) -> "BatchNormState":
-        return cls(np.zeros(num_features), np.ones(num_features))
-
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: Mode) -> Tensor:
     """Per-feature batch normalization over the row axis.

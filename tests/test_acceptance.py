@@ -92,7 +92,7 @@ def _primitive_cases(rng):
     idx = rng.integers(0, 5, size=7)
     yield "gather_rows", _weighted(rng, (7, 3), lambda: T.gather_rows(tb, idx)), [tb]
     bx, g_, b_ = _rand(rng, 6, 4), _rand(rng, 4, offset=1.0, scale=0.2), _rand(rng, 4, scale=0.2)
-    st = BatchNormState.create(4)
+    st = BatchNormState(np.zeros(4), np.ones(4))
     st.running_mean[:] = rng.normal(size=4)
     st.running_var[:] = rng.uniform(0.5, 2.0, size=4)
     for mode in (Mode.TRAIN, Mode.EVAL):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgembed import cli
@@ -82,6 +83,22 @@ class TestPipeline:
     def test_train_outputs(self, pipeline):
         for name in ("best.ckpt", "last.ckpt", "runlog.csv", "timing.csv", "resolved_config.json"):
             assert os.path.exists(os.path.join(pipeline["run"], name))
+
+    def test_train_records_its_numeric_environment(self, pipeline, tmp_path, monkeypatch):
+        """train's resolved_config.json names numpy, its BLAS, the CPU count and the BLAS thread settings as set."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        r = run_cli(["train", "--data", pipeline["data"], *TRAIN_ARGS, "--out", str(out)])
+        assert r.returncode == 0, r.stderr
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert json.loads((out / "resolved_config.json").read_text())["environment"] == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+        }
 
     def test_eval_writes_parsable_report(self, pipeline, tmp_path):
         out = str(tmp_path / "eval")

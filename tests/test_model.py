@@ -2,8 +2,8 @@
 batching invariance, end-to-end gradients."""
 
 import hashlib
+import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,21 +38,41 @@ def augmented(graphs, vocab):
     return [augment_trivial(g, vocab) for g in graphs]
 
 
-def test_last_edge_head_is_drawn_then_dropped(tiny_vocab):
-    """Every weight a seed gives is the same as if the last layer kept its edge head."""
-    two = GcnModel.create(SMALL, tiny_vocab, seed=3)
-    three = GcnModel.create(replace(SMALL, num_layers=3), tiny_vocab, seed=3)
-    assert two.layers[1].head_e_w is None and three.layers[1].head_e_w is not None
-    deeper = three.parameters()
-    for name, p in two.parameters().items():
-        np.testing.assert_array_equal(p.data, deeper[name].data, err_msg=name)
+def test_created_arrays_follow_the_law_of_their_kind():
+    """At the acceptance widths: tables normal with std 1/sqrt(label_dim), weights He-uniform on their fan-in,
+    the two biases uniform within 1/sqrt(mlp_hidden), every batchnorm the identity."""
+    config = ModelConfig(label_dim=32, message_dim=64, out_dim=32, num_layers=2, mlp_hidden=64)
+    arrays = GcnModel.create(config, generate(SynthConfig()).vocab, seed=0).arrays()
+    bias_bound = 1.0 / math.sqrt(config.mlp_hidden)
+    for name, a in arrays.items():
+        kind = name.split(".", 2)[-1]
+        if kind in ("object_table", "relationship_table"):
+            assert abs(a.std() * math.sqrt(config.label_dim) - 1.0) < 0.1, name
+        elif kind in ("trunk_w", "head_s_w", "head_t_w", "head_e_w", "node_w1", "node_w2"):
+            bound = math.sqrt(6.0 / a.shape[0])
+            assert 0.9 * bound < np.abs(a).max() <= bound, name
+        elif kind in ("head_s_b", "node_b2"):
+            assert 0.5 * bias_bound < np.abs(a).max() <= bias_bound, name
+        elif kind in ("trunk_gamma", "node_gamma", "trunk_bn.running_var", "node_bn.running_var"):
+            assert np.array_equal(a, np.ones_like(a)), name
+        else:
+            assert kind in ("trunk_beta", "node_beta", "trunk_bn.running_mean", "node_bn.running_mean"), name
+            assert np.array_equal(a, np.zeros_like(a)), name
+
+
+def test_array_of_no_known_kind_is_refused(tiny_vocab, monkeypatch):
+    """An array_shapes name that create has no law for raises rather than starting as zeros."""
+    shapes = model_module.array_shapes
+    monkeypatch.setattr(model_module, "array_shapes", lambda c, v: {**shapes(c, v), "layers.0.node_scale": (4,)})
+    with pytest.raises(ValueError, match="no initialization law for the model array 'layers.0.node_scale'"):
+        GcnModel.create(SMALL, tiny_vocab, seed=0)
 
 
 def test_seed_fixes_every_parameter(tiny_vocab):
     """The bytes of every parameter a seed gives, in parameters() order: reordering a draw changes them."""
     model = GcnModel.create(SMALL, tiny_vocab, seed=0)
     digest = hashlib.sha256(b"".join(p.data.astype("<f8").tobytes() for p in model.parameters().values()))
-    assert digest.hexdigest() == "26cf6e0114b375d8c0cdf52d906004e7221a2d6cca619769b4da3e473317c1c2"
+    assert digest.hexdigest() == "9859234c397b10f7592ecd410965eefdb300d55c06e113ab289ac4458ad32755"
 
 
 def test_acceptance_model_size():

@@ -271,7 +271,7 @@ class TestGradientsVsFiniteDifferences:
         x = t(rng.normal(size=(5, 4)))
         gamma = t(rng.uniform(0.5, 1.5, size=4))
         beta = t(rng.normal(size=4))
-        state = BatchNormState.create(4)
+        state = BatchNormState(np.zeros(4), np.ones(4))
         state.running_mean[:] = rng.normal(size=4)
         state.running_var[:] = rng.uniform(0.5, 2.0, size=4)
         weights = t(rng.normal(size=(5, 4)))
@@ -317,7 +317,7 @@ class TestBatchNormModes:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(6, 3)))
         gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        state = BatchNormState.create(3)
+        state = BatchNormState(np.zeros(3), np.ones(3))
         state.running_mean[:] = [0.5, -0.5, 0.0]
         state.running_var[:] = [2.0, 1.0, 0.5]
         out1 = T.batchnorm(x, gamma, beta, state, Mode.EVAL).data
@@ -329,7 +329,7 @@ class TestBatchNormModes:
     def test_train_updates_running_stats(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(loc=2.0, size=(50, 3)))
-        state = BatchNormState.create(3)
+        state = BatchNormState(np.zeros(3), np.ones(3))
         T.batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), state, Mode.TRAIN)
         expected_mean = 0.1 * x.data.mean(axis=0)
         np.testing.assert_allclose(state.running_mean, expected_mean, atol=1e-12)
@@ -337,7 +337,7 @@ class TestBatchNormModes:
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(100, 2)))
-        out = T.batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState.create(2), Mode.TRAIN)
+        out = T.batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState(np.zeros(2), np.ones(2)), Mode.TRAIN)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=0), 1.0, atol=1e-3)
 
