@@ -36,7 +36,6 @@ from .objectives import (
     DegenerateDistributionError,
     LossConfig,
     SamplerConfig,
-    SamplerExhaustedError,
     LOSS_KINDS,
     SAMPLER_KINDS,
 )
@@ -68,8 +67,8 @@ _EXIT_CODES = {
     ),
     EXIT_HASH_MISMATCH: ("checkpoint vocabulary-hash mismatch", (CheckpointHashMismatch,)),
     EXIT_RUNTIME: (
-        "runtime failure (exhausted sampler, diverged training)",
-        (SamplerExhaustedError, DegenerateDistributionError, TrainingDivergedError),
+        "runtime failure (a similarity row that admits no triple, diverged training)",
+        (DegenerateDistributionError, TrainingDivergedError),
     ),
     EXIT_BAD_DATA: ("malformed dataset, config or checkpoint contents", (DatasetFormatError, ValueError)),
     1: ("unexpected internal error", (Exception,)),

@@ -220,10 +220,14 @@ def rank_queries(index_embeddings: np.ndarray, query_embeddings: np.ndarray, tar
     """1-based rank of each query's target under descending inner product.
 
     Ties are broken by ascending index position, so an exact-duplicate
-    query of its own index entry ranks first deterministically.
+    query of its own index entry ranks first deterministically. A NaN score
+    would be neither ahead of the target nor tied with it, so non-finite
+    embeddings raise ``ValueError``.
     """
     index_embeddings = np.asarray(index_embeddings)
     query_embeddings = np.asarray(query_embeddings)
+    if not (np.isfinite(index_embeddings).all() and np.isfinite(query_embeddings).all()):
+        raise ValueError("inputs must be finite")
     ranks = []
     for start in range(0, len(targets), _QUERY_BLOCK):
         block = np.asarray(targets[start : start + _QUERY_BLOCK])[:, None]

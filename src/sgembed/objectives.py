@@ -8,6 +8,20 @@ posterior that the pair ordering is correct is sigmoid of the scaled
 similarity gap, and the target is s_ap / (s_ap + s_an), so near-equal
 supervision values contribute a proportionally weak ordering constraint
 instead of a hard one.
+
+A sampler draws a (positive p, negative n) pair from the anchor's
+similarities s to the other candidates:
+
+- ``random``: uniform over the pairs with s_p > s_n;
+- ``extreme``: p = argmax s, n = argmin s, the smallest index on ties;
+- ``probability``: p ∝ s_p, then n ≠ p ∝ 1 - s_n; a p whose other
+  candidates all have s = 1 gets weight 0;
+- ``reject``: the ``probability`` pair given s_p ≥ s_n: p ∝ s_p·A_p/B_p,
+  then n ∝ 1 - s_n among the others with s_n ≤ s_p, whose 1 - s mass is
+  A_p (B_p: that of all others).
+
+Each stochastic sampler draws p from its marginal law, then n from its law
+given p; a row that admits no pair raises DegenerateDistributionError.
 """
 
 from __future__ import annotations
@@ -21,15 +35,9 @@ from . import tensor as T
 from .scene import SimilarityMatrix
 from .tensor import Tensor
 
-REDRAW_CAP = 10_000
-
-
-class SamplerExhaustedError(RuntimeError):
-    """A rejection-based sampler hit the redraw cap without an admissible triple."""
-
 
 class DegenerateDistributionError(ValueError):
-    """A similarity row admits no valid draw (e.g. all zeros or all ones)."""
+    """A similarity row admits no triple under the sampler (e.g. a constant row)."""
 
 
 def require_finite_floats(config) -> None:
@@ -188,17 +196,16 @@ class TripleSampler:
             s_an=float(row[ni]),
         )
 
+    def _draw(self, anchor: int, weights: np.ndarray) -> int:
+        """One row position drawn with probability proportional to ``weights``."""
+        total = weights.sum()
+        if total <= 0:
+            raise DegenerateDistributionError(f"anchor {anchor}: the similarity row admits no {self._config.kind} triple")
+        return int(self._rng.choice(len(weights), p=weights / total))
+
     def _sample_random(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
-        # Uniform over correctly-ordered pairs, realized by rejection of
-        # uniform distinct pairs; exact because every ordered pair is
-        # proposed with equal probability.
-        for _ in range(REDRAW_CAP):
-            pi, ni = self._rng.choice(len(row), size=2, replace=False)
-            if row[pi] > row[ni]:
-                return int(pi), int(ni)
-        raise SamplerExhaustedError(
-            f"anchor {anchor}: no strictly ordered pair found in {REDRAW_CAP} draws"
-        )
+        pi = self._draw(anchor, np.searchsorted(np.sort(row), row))  # values strictly below each one
+        return pi, self._draw(anchor, row < row[pi])
 
     def _sample_extreme(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
         pi = int(np.argmax(row))  # argmax/argmin take the smallest index on ties
@@ -207,35 +214,23 @@ class TripleSampler:
             raise DegenerateDistributionError(f"anchor {anchor}: constant similarity row")
         return pi, ni
 
-    def _probability_weights(self, anchor: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos_total = row.sum()
-        if pos_total <= 0.0:
-            raise DegenerateDistributionError(f"anchor {anchor}: all similarities are zero")
-        neg_weights = 1.0 - row
-        neg_total = neg_weights.sum()
-        if neg_total <= 0.0:
-            raise DegenerateDistributionError(f"anchor {anchor}: all similarities are one")
-        return row / pos_total, neg_weights / neg_total
-
-    def _sample_probability(self, anchor: int, row: np.ndarray, weights=None) -> tuple[int, int]:
-        pos_p, neg_p = self._probability_weights(anchor, row) if weights is None else weights
-        pi = int(self._rng.choice(len(row), p=pos_p))
-        for _ in range(REDRAW_CAP):
-            ni = int(self._rng.choice(len(row), p=neg_p))
-            if ni != pi:
-                return pi, ni
-        raise SamplerExhaustedError(f"anchor {anchor}: could not draw a negative distinct from the positive")
+    def _sample_probability(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
+        neg = 1.0 - row
+        # a lone candidate with s < 1 leaves no negative once it is the positive
+        pi = self._draw(anchor, row if np.count_nonzero(neg) > 1 else row * (neg == 0.0))
+        neg[pi] = 0.0
+        return pi, self._draw(anchor, neg)
 
     def _sample_reject(self, anchor: int, row: np.ndarray) -> tuple[int, int]:
-        # Probability sampling with the ordering constraint; equality is accepted.
-        weights = self._probability_weights(anchor, row)  # once: every redraw uses the same row
-        for _ in range(REDRAW_CAP):
-            pi, ni = self._sample_probability(anchor, row, weights)
-            if row[pi] >= row[ni]:
-                return pi, ni
-        raise SamplerExhaustedError(
-            f"anchor {anchor}: no correctly-ordered pair accepted in {REDRAW_CAP} draws"
-        )
+        neg = 1.0 - row
+        rest = neg.sum() - neg  # B_p: the 1 - s mass of the candidates other than p
+        ascending = np.sort(row)
+        # A_p: the 1 - s mass of the candidates other than p with s_n <= s_p
+        at_most = np.cumsum(1.0 - ascending)[np.searchsorted(ascending, row, side="right") - 1] - neg
+        pi = self._draw(anchor, np.divide(row * at_most, rest, out=np.zeros_like(row), where=rest > 0.0))
+        neg[row > row[pi]] = 0.0
+        neg[pi] = 0.0
+        return pi, self._draw(anchor, neg)
 
 
 # sampler kind -> method drawing (positive, negative) row positions, in --sampler help order

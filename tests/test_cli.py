@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sgembed import cli
-from sgembed.checkpoint import CheckpointError, CheckpointHashMismatch
+from sgembed.checkpoint import CheckpointError, CheckpointHashMismatch, load_checkpoint, save_checkpoint
 from sgembed.cli import (
     EXIT_BAD_DATA,
     EXIT_HASH_MISMATCH,
@@ -23,7 +23,7 @@ from sgembed.cli import (
     build_parser,
     main,
 )
-from sgembed.objectives import DegenerateDistributionError, SamplerExhaustedError
+from sgembed.objectives import DegenerateDistributionError
 from sgembed.scene import DatasetFormatError
 from sgembed.synth import SynthConfig, generate
 from sgembed.train import TrainConfig, TrainingDivergedError
@@ -294,6 +294,18 @@ class TestExitCodes:
         assert last.startswith("ValueError:") and "--seeds" in last
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", [["retrieve", "--noise", "3"], ["sweep", "--noise-list", "0,3"]])
+    def test_non_finite_model_refused_without_output(self, pipeline, tmp_path, capsys, command):
+        model, extra = load_checkpoint(pipeline["ckpt"])
+        model.parameters()["layers.0.node_w2"].data[...] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model, ckpt, extra)
+        out = tmp_path / "out"
+        args = [*command, "--data", pipeline["data"], "--checkpoint", str(ckpt), "--split", "train", "--out", str(out)]
+        assert main(args) == EXIT_BAD_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == "ValueError: inputs must be finite"
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("spec", ["5..2", ","])
     def test_sweep_without_noise_levels_is_refused(self, pipeline, tmp_path, capsys, spec):
         out = tmp_path / "sweep"
@@ -368,7 +380,6 @@ class TestExitCodes:
             (IsADirectoryError, EXIT_MISSING_FILE),
             (NotADirectoryError, EXIT_MISSING_FILE),
             (CheckpointHashMismatch, EXIT_HASH_MISMATCH),
-            (SamplerExhaustedError, EXIT_RUNTIME),
             (DegenerateDistributionError, EXIT_RUNTIME),
             (TrainingDivergedError, EXIT_RUNTIME),
             (ValueError, EXIT_BAD_DATA),

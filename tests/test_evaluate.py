@@ -458,6 +458,21 @@ class TestRetrieval:
         report = retrieval_experiment(model, ds, split.train, 0, seed=0)
         assert report.mrr == 1.0
 
+    @pytest.mark.parametrize("side", ["index", "queries"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_embeddings_rejected(self, side, bad):
+        embeddings = {"index": np.eye(3), "queries": np.eye(3)}
+        embeddings[side][1, 2] = bad
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            rank_queries(embeddings["index"], embeddings["queries"], [0, 1, 2])
+
+    def test_model_with_a_nan_weight_is_refused(self, tiny_vocab):
+        """A NaN score is neither ahead of the target nor tied with it, so it would rank every target first."""
+        ds, model = self._trained_free_setup(tiny_vocab)
+        model.parameters()["layers.0.node_w2"].data[...] = math.nan
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            noise_sweep(model, ds, range(10), [0, 3], seed=0)
+
 
 class TestReportShapes:
     def test_report_dict_round_trip(self):

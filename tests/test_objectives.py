@@ -1,4 +1,4 @@
-"""Loss formula oracles, loss gradients, and sampler postconditions."""
+"""Loss formula oracles, loss gradients, sampler postconditions and the samplers' exact laws."""
 
 import inspect
 import math
@@ -11,9 +11,7 @@ from sgembed import tensor as T
 from sgembed.objectives import (
     DegenerateDistributionError,
     LossConfig,
-    REDRAW_CAP,
     SamplerConfig,
-    SamplerExhaustedError,
     Triple,
     TripleSampler,
     compute_loss,
@@ -283,7 +281,7 @@ class TestSamplers:
 
     def test_random_exhaustion_on_constant_row(self):
         sampler = sampler_for(np.full((4, 4), 0.5), "random")
-        with pytest.raises(SamplerExhaustedError):
+        with pytest.raises(DegenerateDistributionError, match="anchor"):
             sampler.sample_triple(0)
 
     def test_extreme_deterministic(self):
@@ -359,22 +357,6 @@ class TestSamplers:
         t = sampler.sample_triple(0)
         assert t.s_ap == t.s_an == 0.5
 
-    def test_reject_computes_the_weights_once_per_triple(self, monkeypatch):
-        """Redraws reuse the triple's weights, and draw the same triples as when each redraw recomputed them."""
-        calls = {"_probability_weights": 0, "_sample_probability": 0}
-        for name in calls:
-            def counted(self, *args, name=name, real=getattr(TripleSampler, name)):
-                calls[name] += 1
-                return real(self, *args)
-
-            monkeypatch.setattr(TripleSampler, name, counted)
-        values = np.random.default_rng(3).uniform(0.05, 0.95, size=(6, 6))
-        np.fill_diagonal(values, 1.0)
-        sampler = sampler_for(values, "reject", seed=11)
-        pairs = [(t.positive, t.negative) for t in (sampler.sample_triple(k % 6) for k in range(12))]
-        assert pairs == [(2, 4), (4, 3), (3, 4), (0, 1), (3, 2), (3, 2), (5, 1), (5, 0), (3, 1), (0, 5), (3, 1), (0, 1)]
-        assert calls == {"_probability_weights": 12, "_sample_probability": 18}  # six triples took a redraw
-
     def test_candidates_restrict_members(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0.1, 0.9, size=(12, 12))
@@ -396,6 +378,109 @@ class TestSamplers:
     def test_requires_three_candidates(self):
         with pytest.raises(ValueError):
             sampler_for(np.ones((2, 2)), "random")
+
+
+class _Recorder:
+    """Stands in for a sampler's generator: records the law of each draw and returns
+    ``positive`` for the first draw (unless it is None) and the likeliest position otherwise."""
+
+    def __init__(self, positive):
+        self.positive = positive
+        self.laws = []
+
+    def choice(self, n, p):
+        self.laws.append(np.asarray(p))
+        return self.positive if len(self.laws) == 1 and self.positive is not None else int(np.argmax(p))
+
+
+def drawn_law(kind, row):
+    """Joint law over (positive, negative) row positions of the sampler's draws for anchor 0."""
+    values = np.ones((len(row) + 1, len(row) + 1))
+    values[0, 1:] = row
+    sampler = sampler_for(values, kind)
+    sampler._rng = first = _Recorder(None)
+    sampler.sample_triple(0)
+    law = np.zeros((len(row), len(row)))
+    for p in np.flatnonzero(first.laws[0]):
+        sampler._rng = recorder = _Recorder(p)
+        sampler.sample_triple(0)
+        assert len(recorder.laws) == 2  # one draw each: no redraws
+        law[p] = first.laws[0][p] * recorder.laws[1]
+    return law
+
+
+def loop_law(kind, row):
+    """Law of (positive, negative) that the rejection loops define, given that they stop.
+
+    random: distinct pairs drawn uniformly until s_p > s_n. probability: p
+    drawn with probability s_p / sum(s), then n with probability (1 - s_n) /
+    sum(1 - s) until n != p; a p whose redraws cannot stop is never returned.
+    reject: probability pairs until s_p >= s_n. None when no pair is returned.
+    """
+    m = len(row)
+    law = np.zeros((m, m))
+    for p in range(m):
+        others = [n for n in range(m) if n != p]
+        rest = sum(1.0 - row[n] for n in others)
+        for n in others:
+            if kind == "random":
+                law[p, n] = float(row[p] > row[n])
+            elif rest > 0 and (kind == "probability" or row[p] >= row[n]):
+                law[p, n] = row[p] * (1.0 - row[n]) / rest  # the 1 / sum(s) of p cancels
+    return law / law.sum() if law.sum() > 0 else None
+
+
+def tie_heavy_rows(count, seed):
+    """Rows of 2-8 candidates mostly on {0, .25, .5, .75, 1}, with a few uniform values."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 9))
+        row = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=m)
+        uniform = rng.random(m) < 0.2
+        row[uniform] = rng.random(int(uniform.sum()))
+        yield row
+
+
+class TestSamplerLaws:
+    """Each stochastic sampler's two draws give exactly the law of the rejection loops they replace."""
+
+    @pytest.mark.parametrize("kind", ["random", "probability", "reject"])
+    def test_drawn_law_is_the_loop_law_on_tie_heavy_rows(self, kind):
+        degenerate = 0
+        for row in tie_heavy_rows(4000, seed=len(kind)):
+            expected = loop_law(kind, row)
+            if expected is None:
+                degenerate += 1
+                with pytest.raises(DegenerateDistributionError, match="anchor 0"):
+                    drawn_law(kind, row)
+            else:
+                np.testing.assert_allclose(drawn_law(kind, row), expected, rtol=0, atol=1e-12)
+        assert degenerate > 0
+
+    @pytest.mark.parametrize("kind", ["probability", "reject"])
+    def test_near_one_similarities_draw_without_failing(self, kind):
+        x = 1.0 - 2.0**-50
+        values = [[1, 0.5, x, x], [0.5, 1, 0.5, 0.5], [x, 0.5, 1, 0.5], [x, 0.5, 0.5, 1]]
+        sampler = sampler_for(values, kind, seed=0)
+        for _ in range(50):
+            t = sampler.sample_triple(0)
+            assert kind == "probability" or t.s_ap >= t.s_an
+
+    def test_random_on_binary_pairs(self):
+        # image i is similar only to image i ^ 1, so each anchor has one positive
+        n = 2500
+        values = np.zeros((n, n))
+        values[np.arange(n), np.arange(n) ^ 1] = 1.0
+        np.fill_diagonal(values, 1.0)
+        sampler = sampler_for(values, "random", seed=0)
+        for anchor in range(300):
+            t = sampler.sample_triple(anchor)
+            assert (t.positive, t.s_ap, t.s_an) == (anchor ^ 1, 1.0, 0.0)
+
+    def test_positive_without_a_negative_is_never_drawn(self):
+        # with image 3 as the positive, images 1 and 2 (both at 1) are left: no negative could stop its loop
+        sampler = sampler_for([[1, 1, 1, 0.5], [1, 1, 0.5, 0.5], [1, 0.5, 1, 0.5], [0.5, 0.5, 0.5, 1]], "probability")
+        assert {sampler.sample_triple(0).positive for _ in range(200)} == {1, 2}
 
 
 class TestConfigs:
@@ -424,6 +509,3 @@ class TestConfigs:
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(kind="nope")
-
-    def test_redraw_cap_is_large(self):
-        assert REDRAW_CAP == 10_000

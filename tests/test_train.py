@@ -232,7 +232,7 @@ class TestFailurePropagation:
     def test_sampler_exhaustion_reports_anchor(self):
         # A constant similarity row admits no strictly-ordered pair, so the
         # random sampler must fail loudly, naming the anchor, via train().
-        from sgembed.objectives import SamplerExhaustedError
+        from sgembed.objectives import DegenerateDistributionError
         from sgembed.scene import Dataset, SimilarityMatrix, Split
 
         base = tiny_dataset()
@@ -245,7 +245,7 @@ class TestFailurePropagation:
             base.vocab,
             Split(tuple(range(n)), (), ()),
         )
-        with pytest.raises(SamplerExhaustedError, match="anchor"):
+        with pytest.raises(DegenerateDistributionError, match="anchor"):
             train(ds, tiny_config(epochs=1, sampler="random"))
 
     def test_non_finite_loss_aborts_with_triple_dump(self, monkeypatch):
