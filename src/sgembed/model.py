@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -151,30 +152,38 @@ class BatchedGraph:
 
     @classmethod
     def from_graphs(cls, graphs) -> "BatchedGraph":
+        """The union of ``graphs``, built from their flattened node and edge tuples without a per-edge loop.
+
+        Graphs built through the library API arrive unchecked, so an edge of other than three values raises
+        ValueError naming its graph, and then the first graph, in order, with no nodes or an endpoint outside
+        its own nodes does: offset into the batch, that endpoint would name a node of another graph.
+        """
         graphs = list(graphs)
         if not graphs:
             raise ValueError("cannot batch an empty graph list")
-        node_labels, edge_labels, srcs, tgts, gids = [], [], [], [], []
-        offset = 0
-        for gid, g in enumerate(graphs):
-            n = len(g.nodes)
-            if n == 0:
-                raise ValueError(f"{g.image_id}: graph has no nodes")
-            node_labels.extend(g.nodes)
-            gids.extend([gid] * n)
-            for u, r, v in g.edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"{g.image_id}: edge endpoint out of range")
-                srcs.append(u + offset)
-                edge_labels.append(r)
-                tgts.append(v + offset)
-            offset += n
+        num_nodes = np.fromiter((len(g.nodes) for g in graphs), np.int64, len(graphs))
+        num_edges = np.fromiter((len(g.edges) for g in graphs), np.int64, len(graphs))
+        edge_graph = np.repeat(np.arange(len(graphs)), num_edges)
+        lengths = np.fromiter(map(len, chain.from_iterable(g.edges for g in graphs)), np.int64, edge_graph.size)
+        if np.any(lengths != 3):
+            g = graphs[edge_graph[np.argmax(lengths != 3)]]
+            raise ValueError(f"{g.image_id}: an edge is not a (source, label, target) triple")
+        flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+        src, edge_labels, tgt = np.fromiter(flat, np.int64, 3 * edge_graph.size).reshape(-1, 3).T
+        n = num_nodes[edge_graph]
+        bad = num_nodes == 0
+        bad[edge_graph[(src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)]] = True
+        if bad.any():
+            first = np.argmax(bad)
+            problem = "edge endpoint out of range" if num_nodes[first] else "graph has no nodes"
+            raise ValueError(f"{graphs[first].image_id}: {problem}")
+        offsets = (np.cumsum(num_nodes) - num_nodes)[edge_graph]
         return cls(
-            node_labels=np.asarray(node_labels, dtype=np.int64),
-            edge_labels=np.asarray(edge_labels, dtype=np.int64),
-            edge_src=np.asarray(srcs, dtype=np.int64),
-            edge_tgt=np.asarray(tgts, dtype=np.int64),
-            graph_ids=np.asarray(gids, dtype=np.int64),
+            node_labels=np.fromiter(chain.from_iterable(g.nodes for g in graphs), np.int64, num_nodes.sum()),
+            edge_labels=edge_labels.copy(),
+            edge_src=src + offsets,
+            edge_tgt=tgt + offsets,
+            graph_ids=np.repeat(np.arange(len(graphs)), num_nodes),
             num_graphs=len(graphs),
         )
 
@@ -211,22 +220,27 @@ def layer_forward(
 
     The new edge states are None for a layer without an edge head.
     """
-    src_states = T.gather_rows(node_states, batch.edge_src)
-    tgt_states = T.gather_rows(node_states, batch.edge_tgt)
-    trunk_in = T.concat([src_states, edge_states, tgt_states], axis=1)
+    # Each intermediate is dropped at its last use, nested or by del, so that
+    # no dead array adds to the layer's peak memory.
+    trunk_in = T.concat(
+        [T.gather_rows(node_states, batch.edge_src), edge_states, T.gather_rows(node_states, batch.edge_tgt)], axis=1
+    )
+    del node_states, edge_states
     hidden = _matmul_bn_relu(trunk_in, layer.trunk_w, layer.trunk_gamma, layer.trunk_beta, layer.trunk_bn, mode)
+    del trunk_in
     msg_to_src = T.add(T.matmul(hidden, layer.head_s_w), layer.head_s_b)
     msg_to_tgt = T.matmul(hidden, layer.head_t_w)
     new_edge_states = None if layer.head_e_w is None else T.matmul(hidden, layer.head_e_w)
+    del hidden
 
     # Augmentation gives every node an incident edge, so no segment is empty.
     messages = T.concat([msg_to_src, msg_to_tgt], axis=0)
-    segment_ids = np.concatenate([batch.edge_src, batch.edge_tgt])
-    pooled = T.segment_mean(messages, segment_ids, batch.num_nodes)
-
+    del msg_to_src, msg_to_tgt
+    pooled = T.segment_mean(messages, np.concatenate([batch.edge_src, batch.edge_tgt]), batch.num_nodes)
+    del messages
     pre = _matmul_bn_relu(pooled, layer.node_w1, layer.node_gamma, layer.node_beta, layer.node_bn, mode)
-    new_node_states = T.rowwise_l2_normalize(T.add(T.matmul(pre, layer.node_w2), layer.node_b2))
-    return new_node_states, new_edge_states
+    del pooled
+    return T.rowwise_l2_normalize(T.add(T.matmul(pre, layer.node_w2), layer.node_b2)), new_edge_states
 
 
 def pool(node_states: Tensor, graph_ids, num_graphs: int) -> Tensor:
@@ -239,10 +253,12 @@ def forward(model: GcnModel, graphs, mode: Mode) -> Tensor:
     batch = BatchedGraph.from_graphs(graphs)
     if np.unique(batch.graph_ids[batch.node_labels == model.vocab.trivial_node_label]).size < batch.num_graphs:
         raise ValueError("forward expects augmented graphs (missing trivial node); call augment_trivial")
-    node_states, edge_states = embed_inputs(model, batch)
+    # Each layer's input states are handed over by pop, so that layer_forward
+    # holds the only references to them and frees them at their last use.
+    states = [*embed_inputs(model, batch)]
     for layer in model.layers:
-        node_states, edge_states = layer_forward(layer, node_states, edge_states, batch, mode)
-    return pool(node_states, batch.graph_ids, batch.num_graphs)
+        states = [*layer_forward(layer, states.pop(0), states.pop(0), batch, mode)]
+    return pool(states[0], batch.graph_ids, batch.num_graphs)
 
 
 # Augmented edges per disjoint-union forward. An augmented graph has at most

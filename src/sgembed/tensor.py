@@ -13,8 +13,8 @@ the loss from the newest down: each runs once, after all its consumers, and
 its output gradient is the sum of their shares in descending creation order.
 A node keeps its input nodes and its requires-grad leaf tensors, never an
 intermediate tensor, and its rule keeps only the arrays it reads (``relu``
-keeps the mask ``x > 0``, not ``x``). So an intermediate array that no rule
-reads is freed once the next op has consumed it, and reference counting
+keeps the mask ``x > 0``, not ``x``). So the tape holds no intermediate array
+that no rule reads: it is freed once its caller drops it, and reference counting
 frees the whole tape with its loss. Calling ``backward`` a second time
 without re-running the forward pass accumulates leaf gradients a second
 time.
@@ -394,7 +394,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
             return g * (gamma_data * inv_std), (g * xhat).sum(axis=0), g.sum(axis=0)
 
     # gamma * xhat + beta with the sum in place: the same operations in the
-    # same order, one full-size temporary fewer.
-    out = gamma.data * xhat
+    # same order, one full-size temporary fewer. Unrecorded, no rule reads
+    # xhat, so the product overwrites it too.
+    if x.requires_grad or gamma.requires_grad or beta.requires_grad:
+        out = gamma.data * xhat
+    else:
+        out = np.multiply(gamma.data, xhat, out=xhat)
     out += beta.data
     return _result(out, (x, gamma, beta), back, "batchnorm")

@@ -441,3 +441,33 @@ class TestBitIdenticalKernels:
         assert _same_bytes(dgamma, (g * xhat).sum(axis=0))
         assert _same_bytes(dbeta, g.sum(axis=0))
         assert _same_bytes(dx, gamma * inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0)))
+
+    @pytest.mark.parametrize("recorded", ["x", "gamma", "beta"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n", [1, 7, 1600])
+    def test_unrecorded_batchnorm_matches_recorded(self, n, mode, recorded):
+        """With no input requiring grad, batchnorm computes its affine map in xhat's own buffer: the same
+        output and running-buffer bytes as a call recorded because one input requires grad, x unchanged.
+        The recorded call's gamma gradient still reads the unscaled xhat."""
+        rng = np.random.default_rng(n)
+        f = 64
+        x = rng.normal(loc=3.0, scale=2.0, size=(n, f))
+        gamma, beta = rng.uniform(0.5, 1.5, size=f), rng.normal(size=f)
+        running = rng.normal(size=f), rng.uniform(0.5, 2.0, size=f)
+        g = rng.normal(size=(n, f))
+
+        def call(requires_grad):
+            named = {"x": x, "gamma": gamma, "beta": beta}
+            inputs = {name: t(a.copy(), name in requires_grad) for name, a in named.items()}
+            state = BatchNormState(*(a.copy() for a in running))
+            return T.batchnorm(inputs["x"], inputs["gamma"], inputs["beta"], state, mode), state, inputs["x"]
+
+        out, state, x_in = call(())
+        reference, reference_state, _ = call((recorded,))
+        assert out.node is None and reference.node is not None
+        assert _same_bytes(out.data, reference.data)
+        assert _same_bytes(state.running_mean, reference_state.running_mean)
+        assert _same_bytes(state.running_var, reference_state.running_var)
+        assert _same_bytes(x_in.data, x)
+        xhat = (reference.data - beta) / gamma
+        np.testing.assert_allclose(reference.node.backward_fn(g)[1], (g * xhat).sum(axis=0), rtol=1e-12, atol=1e-9)
