@@ -101,9 +101,6 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
         extra = header.get("extra", {})
         if not isinstance(extra, dict):
             raise CheckpointError("malformed 'extra': not a JSON object")
-        payload_bytes = len(raw) - 16 - header_len
-        if payload_bytes / 8 != header["total_floats"]:
-            raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {header['total_floats']} floats of 8)")
 
         config = _model_config(header["model_config"])
         vocab = Vocabulary.from_json(header["vocab"], CheckpointError)
@@ -129,6 +126,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> tuple[GcnMo
             after = want["name"]
         if _json(header["total_floats"]) != _json(total_floats):
             raise CheckpointError(f"'total_floats' is {_json(header['total_floats'])}; {_GIVEN} {total_floats}")
+        payload_bytes = len(raw) - 16 - header_len
+        if payload_bytes != 8 * total_floats:
+            raise CheckpointError(f"truncated payload ({payload_bytes} bytes, expected {total_floats} floats of 8)")
     # Copied, so that the model's arrays are writable and aligned: numpy's matmul hands only aligned arrays to BLAS.
     payload = np.frombuffer(raw, dtype="<f8", offset=16 + header_len).copy()
     arrays = {t["name"]: payload[t["offset"] : t["offset"] + math.prod(t["shape"])].reshape(t["shape"]) for t in layout}

@@ -86,16 +86,18 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        return json_object(fh.read(), "config")
+def _merged(args, keys) -> dict:
+    """The --config file's values overridden by explicitly-passed flags (non-None args).
 
-
-def _merged(file_values: dict, args, keys) -> dict:
-    """File values overridden by explicitly-passed flags (non-None args)."""
-    merged = {k: v for k, v in file_values.items() if k in keys}
+    A file key not in ``keys`` is refused: a misspelt or renamed setting would otherwise keep its default.
+    """
+    merged = {}
+    if args.config is not None:
+        with reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
+            merged = json_object(fh.read(), "config")
+            unknown = [key for key in merged if key not in keys]
+            if unknown:
+                raise DatasetFormatError(f"key {unknown[0]!r} names no {args.command} setting")
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -194,7 +196,7 @@ _TRAIN_FLAGS = {
 
 
 def _cmd_gen_data(args) -> int:
-    values = _merged(_load_config_file(args.config), args, _SYNTH_FLAGS)
+    values = _merged(args, _SYNTH_FLAGS)
     config = _config(SynthConfig, values)
     _non_negative("seed", config.seed)
     out = _out_dir(args)
@@ -217,7 +219,7 @@ def _train_config_from(values: dict) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    values = _merged(_load_config_file(args.config), args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
+    values = _merged(args, [*_TRAIN_FLAGS, *_KIND_FLAGS])
     config = _train_config_from(values)
     _non_negative("seed", config.seed)
     split_seed = _non_negative("split_seed", values.get("split_seed", DEFAULT_SPLIT_SEED))

@@ -52,8 +52,7 @@ def require_finite_floats(config) -> None:
 class LossConfig:
     kind: str = "ranking"
     margin: float = 0.5
-    infonce_temperature: float = 1.0
-    ranking_temperature: float = 1.0
+    temperature: float = 1.0  # the ranking loss's nu and InfoNCE's tau
 
     def __post_init__(self):
         require_finite_floats(self)
@@ -61,8 +60,8 @@ class LossConfig:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
-        if self.infonce_temperature <= 0 or self.ranking_temperature <= 0:
-            raise ValueError("temperatures must be positive")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def ranking_target(s_ap, s_an):
 
 
 def ranking_loss(
-    f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = LossConfig.ranking_temperature
+    f_a: Tensor, f_p: Tensor, f_n: Tensor, s_ap, s_an, nu: float = LossConfig.temperature
 ) -> Tensor:
     """Mean cross-entropy between the ordering posterior and the soft target;
     s_ap and s_an are scalars or length-B arrays.
@@ -136,7 +135,7 @@ def triplet_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, margin: float = LossConf
     return _batch_mean(T.relu(T.add(gap, Tensor(np.full(gap.shape, float(margin))))))
 
 
-def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = LossConfig.infonce_temperature) -> Tensor:
+def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = LossConfig.temperature) -> Tensor:
     """Mean two-way softmax loss on the positive vs negative similarity.
 
     -log(e^(ap/t) / (e^(ap/t) + e^(an/t))) == -logsigmoid((ap - an)/t): the
@@ -149,19 +148,17 @@ def infonce_loss(f_a: Tensor, f_p: Tensor, f_n: Tensor, temperature: float = Los
     return ranking_loss(f_a, f_p, f_n, 1.0, 0.0, temperature)
 
 
-# loss kind -> mean loss of a batch under a LossConfig and its similarity arrays, in --loss help order
-_LOSSES = {
-    "triplet": lambda c, f_a, f_p, f_n, s_ap, s_an: triplet_loss(f_a, f_p, f_n, c.margin),
-    "infonce": lambda c, f_a, f_p, f_n, s_ap, s_an: infonce_loss(f_a, f_p, f_n, c.infonce_temperature),
-    "ranking": lambda c, f_a, f_p, f_n, s_ap, s_an: ranking_loss(f_a, f_p, f_n, s_ap, s_an, c.ranking_temperature),
-}
-LOSS_KINDS = tuple(_LOSSES)
+LOSS_KINDS = ("triplet", "infonce", "ranking")  # in --loss help order
 
 
 def compute_loss(config: LossConfig, f_a: Tensor, f_p: Tensor, f_n: Tensor, triples) -> Tensor:
     """Mean loss of a batch: row i of the (B, d) embeddings belongs to triples[i]."""
+    if config.kind == "triplet":
+        return triplet_loss(f_a, f_p, f_n, config.margin)
+    if config.kind == "infonce":
+        return infonce_loss(f_a, f_p, f_n, config.temperature)
     s_ap, s_an = np.array([(t.s_ap, t.s_an) for t in triples]).T
-    return _LOSSES[config.kind](config, f_a, f_p, f_n, s_ap, s_an)
+    return ranking_loss(f_a, f_p, f_n, s_ap, s_an, config.temperature)
 
 
 class TripleSampler:

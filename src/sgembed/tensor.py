@@ -362,36 +362,33 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     f = x.shape[1]
     if gamma.shape != (f,) or beta.shape != (f,) or state.running_mean.shape != (f,):
         raise ShapeError(f"batchnorm parameter width must be {f}")
+    n = x.shape[0]
     if mode is Mode.TRAIN:
-        if x.shape[0] == 0:
+        if n == 0:
             raise ShapeError("batchnorm in TRAIN mode requires at least one row")
         # The same sums and divisions as x.mean(0) and x.var(0), without
         # var computing the mean and the centered rows a second time.
-        n = x.shape[0]
         mu = x.data.sum(axis=0) / n
         centered = x.data - mu
         var = (centered * centered).sum(axis=0) / n
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = np.multiply(centered, inv_std, out=centered)
         m = state.momentum
         state.running_mean[:] = (1.0 - m) * state.running_mean + m * mu
         state.running_var[:] = (1.0 - m) * state.running_var + m * var
-        gamma_data = gamma.data
-
-        def back(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            dx = gamma_data * inv_std * (g - dbeta / n - xhat * (dgamma / n))
-            return dx, dgamma, dbeta
-
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = x.data - state.running_mean
-        xhat *= inv_std
-        gamma_data = gamma.data
+        centered = x.data - state.running_mean
+        var = state.running_var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = np.multiply(centered, inv_std, out=centered)
+    gamma_data = gamma.data
 
-        def back(g):
-            return g * (gamma_data * inv_std), (g * xhat).sum(axis=0), g.sum(axis=0)
+    def back(g):
+        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        if mode is Mode.TRAIN:  # the batch statistics depend on x too
+            dx = gamma_data * inv_std * (g - dbeta / n - xhat * (dgamma / n))
+        else:
+            dx = g * (gamma_data * inv_std)
+        return dx, dgamma, dbeta
 
     # gamma * xhat + beta with the sum in place: the same operations in the
     # same order, one full-size temporary fewer. Unrecorded, no rule reads

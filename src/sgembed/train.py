@@ -175,7 +175,8 @@ def train(
     if out_dir is not None:
         checkpoint("last.ckpt", config.epochs, None)
         if best_tau is None:
-            # No validation split: the last model is also the best known one.
+            # No validation split, or no epoch's validation tau was defined: the last
+            # model is also the best known one.
             checkpoint("best.ckpt", config.epochs, None)
     return model, entries
 

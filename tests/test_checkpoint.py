@@ -287,6 +287,21 @@ def test_total_floats_that_is_not_the_layout_refused(model, tmp_path, extra_floa
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("total", ["abc", None, [1], True], ids=["string", "null", "list", "bool"])
+def test_total_floats_that_is_not_a_number_refused_as_not_the_layout(model, tmp_path, total):
+    """With the payload intact, a total_floats that is no number is named against the layout's total,
+    not taken as the payload's expected length."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    header, payload = _read_header(path)
+    n = header["total_floats"]
+    header["total_floats"] = total
+    _write_header(path, header, payload)
+    message = f"{path}: 'total_floats' is {json.dumps(total)}; the model_config and vocabulary give {n}"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key", ["objects", "relationships"])
 @pytest.mark.parametrize("label", [["cat"], {"cat": 1}, 3, None], ids=["list", "object", "number", "null"])
 def test_vocabulary_label_that_is_not_a_string(model, tmp_path, key, label):

@@ -223,10 +223,10 @@ class TestConfigFile:
         "text, culprit",
         [
             ('{"learning_rate": NaN}', "TrainConfig.learning_rate must be finite, got nan"),
-            ('{"ranking_temperature": Infinity}', "LossConfig.ranking_temperature must be finite, got inf"),
+            ('{"temperature": Infinity}', "LossConfig.temperature must be finite, got inf"),
             ('{"margin": -Infinity}', "LossConfig.margin must be finite, got -inf"),
         ],
-        ids=["learning_rate_nan", "ranking_temperature_inf", "margin_minus_inf"],
+        ids=["learning_rate_nan", "temperature_inf", "margin_minus_inf"],
     )
     def test_non_finite_float_refused_before_any_output(self, pipeline, tmp_path, capsys, text, culprit):
         config = tmp_path / "train.json"
@@ -234,6 +234,24 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["train", "--data", pipeline["data"], "--config", str(config), "--out", str(out)]) == EXIT_BAD_DATA
         assert capsys.readouterr().err.splitlines()[-1] == f"ValueError: {culprit}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            (["train"], {"ranking_temperature": 0.5}, "ranking_temperature"),
+            (["gen-data"], {"n_images": 12, "similarity_band": [0.1, 0.2], "learning_rat": 5}, "similarity_band"),
+        ],
+        ids=["train", "gen-data"],
+    )
+    def test_key_that_names_no_setting_refused_before_any_output(self, pipeline, tmp_path, capsys, command, values, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        inputs = ["--data", pipeline["data"]] if command == ["train"] else []
+        assert main([*command, *inputs, "--config", str(config), "--out", str(out)]) == EXIT_BAD_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"DatasetFormatError: {config}: key {key!r} names no {command[0]} setting"
         assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
@@ -354,10 +372,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value, culprit",
         [
-            ("--ranking-temperature", "inf", "LossConfig.ranking_temperature must be finite, got inf"),
+            ("--temperature", "inf", "LossConfig.temperature must be finite, got inf"),
             ("--learning-rate", "nan", "TrainConfig.learning_rate must be finite, got nan"),
         ],
-        ids=["ranking_temperature_inf", "learning_rate_nan"],
+        ids=["temperature_inf", "learning_rate_nan"],
     )
     def test_non_finite_float_flag_names_the_field(self, pipeline, tmp_path, capsys, flag, value, culprit):
         out = tmp_path / "run"
@@ -673,7 +691,7 @@ class TestOptions:
         assert _long_options("train") == {
             "--help", "--data", "--config", "--out",
             "--label-dim", "--message-dim", "--out-dim", "--num-layers", "--mlp-hidden",
-            "--loss", "--margin", "--infonce-temperature", "--ranking-temperature", "--sampler",
+            "--loss", "--margin", "--temperature", "--sampler",
             "--epochs", "--batch-size", "--learning-rate", "--seed",
             "--checkpoint-every", "--eval-every", "--split-seed",
         }

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestBatchedLosses:
     @pytest.mark.parametrize("kind", ["ranking", "triplet", "infonce"])
     def test_batch_equals_mean_of_single_rows(self, kind, batch):
         rng = np.random.default_rng(batch)
-        config = LossConfig(kind=kind, margin=0.7, infonce_temperature=0.6, ranking_temperature=1.4)
+        config = LossConfig(kind=kind, margin=0.7, temperature={"infonce": 0.6, "ranking": 1.4}.get(kind, 1.0))
         rows = [rng.normal(size=(batch, 6)) for _ in range(3)]
         s = rng.uniform(0.05, 1.0, size=(batch, 2))
         triples = [Triple(0, 1, 2, s_ap, s_an) for s_ap, s_an in s]
@@ -228,6 +229,25 @@ class TestBatchedLosses:
         for k in range(3):
             expected = np.concatenate([g[k] for _, g in singles]) / batch
             np.testing.assert_allclose(grads[k], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, own, other", [("triplet", "margin", "temperature"), ("infonce", "temperature", "margin"),
+                             ("ranking", "temperature", "margin")],
+    )
+    def test_each_kind_reads_only_its_own_field(self, kind, own, other):
+        """The field a kind does not read leaves its loss and gradients bitwise equal; its own field changes them."""
+        rng = np.random.default_rng(0)
+        rows = [rng.normal(size=(5, 4)) for _ in range(3)]
+        triples = [Triple(0, 1, 2, s_ap, s_an) for s_ap, s_an in rng.uniform(0.05, 1.0, size=(5, 2))]
+        # the hinge is inactive on two of these rows at margin 0 and active on all five at margin 50
+        base = LossConfig(kind=kind, margin=0.0, temperature=0.7)
+        value, grads = self._value_and_grads(base, rows, triples)
+        same_value, same_grads = self._value_and_grads(replace(base, **{other: 50.0}), rows, triples)
+        assert same_value == value
+        for g, h in zip(grads, same_grads):
+            np.testing.assert_array_equal(g, h)
+        new_value, new_grads = self._value_and_grads(replace(base, **{own: 50.0}), rows, triples)
+        assert new_value != value and all(not np.array_equal(g, h) for g, h in zip(grads, new_grads))
 
     def test_array_and_scalar_similarities_agree(self):
         rng = np.random.default_rng(9)
@@ -490,9 +510,9 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LossConfig(margin=-0.1)
         with pytest.raises(ValueError):
-            LossConfig(ranking_temperature=0.0)
+            LossConfig(temperature=0.0)
 
-    @pytest.mark.parametrize("field", ["margin", "infonce_temperature", "ranking_temperature"])
+    @pytest.mark.parametrize("field", ["margin", "temperature"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_loss_config_refuses_non_finite_floats(self, field, value):
         with pytest.raises(ValueError, match=f"^LossConfig.{field} must be finite, got {value!r}$"):
@@ -500,8 +520,8 @@ class TestConfigs:
 
     @pytest.mark.parametrize(
         "loss, param, field",
-        [(ranking_loss, "nu", "ranking_temperature"), (triplet_loss, "margin", "margin"),
-         (infonce_loss, "temperature", "infonce_temperature")],
+        [(ranking_loss, "nu", "temperature"), (triplet_loss, "margin", "margin"),
+         (infonce_loss, "temperature", "temperature")],
     )
     def test_loss_defaults_are_the_config_defaults(self, loss, param, field):
         assert inspect.signature(loss).parameters[param].default == getattr(LossConfig(), field)
