@@ -512,11 +512,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LossConfig(temperature=0.0)
 
-    @pytest.mark.parametrize("field", ["margin", "temperature"])
+    # Each loss kind with the field it reads: InfoNCE's and the ranking loss's temperature are one field.
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("triplet", "margin"), ("infonce", "temperature"), ("ranking", "temperature")],
+        ids=["margin", "infonce_temperature", "ranking_temperature"],
+    )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_loss_config_refuses_non_finite_floats(self, field, value):
+    def test_loss_config_refuses_non_finite_floats(self, kind, field, value):
         with pytest.raises(ValueError, match=f"^LossConfig.{field} must be finite, got {value!r}$"):
-            LossConfig(**{field: value})
+            LossConfig(kind=kind, **{field: value})
 
     @pytest.mark.parametrize(
         "loss, param, field",
